@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <string>
@@ -26,6 +27,8 @@
 #include "obs/runtime.h"
 #include "radio/scheduler.h"
 #include "sim/pool.h"
+#include "store/format.h"
+#include "store/handle.h"
 #include "store/scan.h"
 #include "store/shard.h"
 
@@ -185,9 +188,17 @@ std::vector<KpiShapedRow> make_kpi_shaped_rows(std::size_t n) {
   return rows;
 }
 
+// The bench feed is written as the "kpis" feed of a scratch store
+// directory, so a StoreHandle over that directory opens it.
+std::string bench_store_dir() {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "cellscope_bench_store";
+  std::filesystem::create_directories(dir);
+  return dir.string();
+}
+
 std::string bench_store_path() {
-  return (std::filesystem::temp_directory_path() / "cellscope_bench_kpis.csf")
-      .string();
+  return bench_store_dir() + "/" + store::feed_file_name("kpis");
 }
 
 std::uint64_t write_kpi_shaped_feed(const std::string& path,
@@ -259,18 +270,65 @@ BENCHMARK(BM_StoreReadKpis)->Arg(16'384)->Arg(131'072);
 
 // Vectorized scan-path kernels (store/scan.h). The bench feed is shaped
 // exactly like the "kpis" feed, so the registry schema drives the scanner.
+// A feed read is split into its three layers, each with its own number:
+// open (map + footer + every shard's CRC32C), the checksum kernel alone,
+// and decode over an already-verified handle.
 
-// Full-projection decode throughput: every column of every shard through
-// the batched decoder. Items = rows, so the JSON report carries the
-// decode rows/s figure the perf gate tracks.
-void BM_ScanDecodeRows(benchmark::State& state) {
+// Open plus full verify, the cost every fresh scan pays before its first
+// row. Bytes = on-disk feed bytes, so bytes/s is the open-path verify rate.
+void BM_StoreOpen(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::string path = bench_store_path();
+  const std::uint64_t bytes =
+      write_kpi_shaped_feed(path, make_kpi_shaped_rows(n));
+  for (auto _ : state) {
+    store::FeedFileReader reader{path};
+    benchmark::DoNotOptimize(reader.total_rows());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_StoreOpen)->Arg(131'072);
+
+// The CRC32C kernel crc32c selected on this CPU, over the whole feed file.
+void BM_ShardVerify(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::string path = bench_store_path();
+  write_kpi_shaped_feed(path, make_kpi_shaped_rows(n));
+  std::vector<std::uint8_t> bytes(std::filesystem::file_size(path));
+  {
+    std::ifstream file{path, std::ios::binary};
+    file.read(reinterpret_cast<char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    if (!file) throw std::runtime_error("BM_ShardVerify: cannot read " + path);
+  }
+  for (auto _ : state) {
+    const std::uint32_t crc = store::crc32c(bytes.data(), bytes.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+  state.SetLabel(store::crc32c_is_hardware() ? "sse4.2" : "slicing-by-8");
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_ShardVerify)->Arg(131'072);
+
+// Full-projection decode over a pre-opened StoreHandle: every column of
+// every shard through the batched decoder, no open or verify in the loop.
+// Items = rows, so the JSON report carries decode rows/s.
+void BM_ScanDecode(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::string path = bench_store_path();
   const std::uint64_t bytes =
       write_kpi_shaped_feed(path, make_kpi_shaped_rows(n));
   const store::FeedSchema& schema = store::feed_schema("kpis");
+  const store::StoreHandle handle{bench_store_dir(), {"kpis"}};
   for (auto _ : state) {
-    store::FeedScanner scanner{path, schema, store::ScanOptions{}};
+    store::FeedScanner scanner =
+        store::FeedScanner::open(handle, schema, store::ScanOptions{});
     store::ScanBatch batch;
     std::uint64_t rows_read = 0;
     double sum = 0.0;
@@ -287,9 +345,9 @@ void BM_ScanDecodeRows(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes));
   std::filesystem::remove(path);
 }
-BENCHMARK(BM_ScanDecodeRows)->Arg(131'072);
+BENCHMARK(BM_ScanDecode)->Arg(131'072);
 
-// End-to-end projected-query latency: open + footer day pruning to the
+// End-to-end projected-query latency: fresh open + footer day pruning to the
 // middle third of the days + a quarter-of-the-cells key mask + two metric
 // columns late-materialized — the shape of one figure-panel query.
 void BM_ScanProjectedQuery(benchmark::State& state) {
@@ -309,7 +367,8 @@ void BM_ScanProjectedQuery(benchmark::State& state) {
     options.predicate.max_day = 2 * days / 3;
     options.predicate.key_column = "cell";
     options.predicate.key_mask = &mask;
-    store::FeedScanner scanner{path, schema, std::move(options)};
+    store::FeedScanner scanner = store::FeedScanner::open(
+        bench_store_dir(), schema, std::move(options));
     store::ScanBatch batch;
     std::uint64_t rows_emitted = 0;
     double sum = 0.0;

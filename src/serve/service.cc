@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "obs/runtime.h"
 #include "store/feeds.h"
@@ -13,6 +14,10 @@
 namespace cellscope::serve {
 
 namespace {
+
+// Every feed the four adapters read (see their "Reads:" notes in
+// store/scan.h).
+const std::vector<std::string> kServedFeeds = {"scalars", "kpis", "series"};
 
 double ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
@@ -74,15 +79,26 @@ void QueryService::attach_quality(telemetry::FeedQualityReport* quality) {
   quality_ = quality;
 }
 
-std::shared_ptr<const QueryValue> QueryService::execute(const Query& q) {
-  // Each leader runs the adapter on its own stack: the FeedScanner inside
-  // is per-call, hence per-thread — no reader state is ever shared.
+std::shared_ptr<const store::StoreHandle> QueryService::current_store() {
+  const std::lock_guard<std::mutex> lock(store_mutex_);
+  if (store_ != nullptr && !store_->changed_on_disk()) return store_;
+  auto fresh = std::make_shared<const store::StoreHandle>(store_dir_,
+                                                          kServedFeeds);
+  store_ = fresh->intact() ? fresh : nullptr;
+  return fresh;
+}
+
+std::shared_ptr<const QueryValue> QueryService::execute(
+    const store::StoreHandle& store, const Query& q) {
+  // Each leader runs the adapter on its own stack with its own
+  // FeedScanner; what leaders share is the handle's immutable, already
+  // validated readers.
   auto value = std::make_shared<QueryValue>();
   value->kind = q.kind;
   switch (q.kind) {
     case QueryKind::kScalar: {
       const auto scalar =
-          store::scan_scalar_u64(store_dir_, static_cast<store::ScalarId>(q.id));
+          store::scan_scalar_u64(store, static_cast<store::ScalarId>(q.id));
       if (!scalar) return nullptr;
       value->scalar = *scalar;
       value->payload = encode_scalar(*scalar);
@@ -90,7 +106,7 @@ std::shared_ptr<const QueryValue> QueryService::execute(const Query& q) {
     }
     case QueryKind::kDailySeries: {
       auto daily = store::scan_daily_series(
-          store_dir_, static_cast<store::SeriesId>(q.id),
+          store, static_cast<store::SeriesId>(q.id),
           static_cast<SimDay>(q.min_day), static_cast<SimDay>(q.max_day));
       if (!daily) return nullptr;
       value->payload = encode_daily(*daily);
@@ -99,7 +115,7 @@ std::shared_ptr<const QueryValue> QueryService::execute(const Query& q) {
     }
     case QueryKind::kGroupedSeries: {
       auto grouped = store::scan_grouped_series(
-          store_dir_, static_cast<store::SeriesId>(q.id),
+          store, static_cast<store::SeriesId>(q.id),
           static_cast<std::size_t>(q.group_count),
           static_cast<SimDay>(q.min_day), static_cast<SimDay>(q.max_day));
       if (!grouped) return nullptr;
@@ -110,7 +126,7 @@ std::shared_ptr<const QueryValue> QueryService::execute(const Query& q) {
     case QueryKind::kKpiGroupSeries: {
       const auto it = groupings_.find(q.grouping);
       if (it == groupings_.end()) return nullptr;  // caught in run()
-      auto kpi = store::scan_kpi_group_series(store_dir_, it->second, q.metric,
+      auto kpi = store::scan_kpi_group_series(store, it->second, q.metric,
                                               q.reduction, q.min_day,
                                               q.max_day);
       if (!kpi) return nullptr;
@@ -181,7 +197,7 @@ QueryResponse QueryService::run(const Query& query) {
         const auto scan_t0 = std::chrono::steady_clock::now();
         std::shared_ptr<const QueryValue> value;
         try {
-          value = execute(q);
+          value = execute(*current_store(), q);
         } catch (...) {
           gate_.release();
           throw;

@@ -6,9 +6,20 @@
 //   run(query)
 //     ├─ cache lookup (serve/cache.h) ............ hit -> answer
 //     ├─ admission gate .................. full queue -> kShed + retry_after
-//     └─ single-flight compute on a per-thread FeedScanner
+//     └─ single-flight compute: the leader's own FeedScanner over the
+//        service's shared StoreHandle
 //          ├─ adapter answers ......................... kOk, cached
 //          └─ adapter refuses (store damage) .......... kDegraded, uncached
+//
+// The service keeps one store::StoreHandle: the feeds the adapters read,
+// mapped and CRC-verified once. Leaders on any thread borrow it; each
+// scanner state (cursor, decode buffers) stays per-leader, only the
+// immutable validated readers are shared. On every miss the leader stats
+// the handle's feed files and opens a new handle if any changed (a store
+// regenerated by atomic rename is picked up on the next miss); in-flight
+// scans finish on the generation they started with. A handle whose open
+// found any damage is used for that one request and never kept, so a
+// damaged store is re-verified, and degrades, on every request.
 //
 // Admission bounds in-flight scans with a counting gate: up to
 // max_inflight_scans leaders scan concurrently, up to max_queue_depth more
@@ -40,6 +51,7 @@
 
 #include "serve/cache.h"
 #include "serve/query.h"
+#include "store/handle.h"
 #include "telemetry/quality.h"
 
 namespace cellscope::serve {
@@ -126,7 +138,10 @@ class QueryService {
   [[nodiscard]] const std::string& config_digest() const { return digest_; }
 
  private:
-  [[nodiscard]] std::shared_ptr<const QueryValue> execute(const Query& q);
+  [[nodiscard]] std::shared_ptr<const QueryValue> execute(
+      const store::StoreHandle& store, const Query& q);
+  // The kept handle, reopened first when missing or changed on disk.
+  [[nodiscard]] std::shared_ptr<const store::StoreHandle> current_store();
   void note_degraded(const std::string& key);
   void publish_cache_gauges();
 
@@ -139,6 +154,11 @@ class QueryService {
   // Flips on first run(); register_grouping refuses afterwards, which is
   // what lets run() read groupings_ without a lock.
   std::atomic<bool> serving_started_{false};
+
+  // Guards the kept handle; held across a reopen so concurrent misses
+  // wait for one verify instead of each doing their own.
+  std::mutex store_mutex_;
+  std::shared_ptr<const store::StoreHandle> store_;
 
   telemetry::FeedQualityReport* quality_ = nullptr;
   std::mutex quality_mutex_;

@@ -47,13 +47,15 @@ double raw64_at(const ColumnView& column, std::size_t row) {
 
 }  // namespace
 
-FeedScanner::FeedScanner(std::string csf_path, const FeedSchema& schema,
-                         ScanOptions options)
-    : schema_(schema), options_(std::move(options)) {
+FeedScanner::FeedScanner(std::shared_ptr<const FeedFileReader> reader,
+                         const FeedSchema& schema, ScanOptions options)
+    : schema_(schema),
+      options_(std::move(options)),
+      reader_(std::move(reader)) {
   if (options_.batch_rows == 0)
     options_.batch_rows = ScanOptions::kDefaultBatchRows;
 
-  // Resolve the projection against the schema before touching the file:
+  // Resolve the projection against the schema before looking at the file:
   // a bad projection is caller error, not data damage, so it fails the
   // scanner without charging the quarantine ledger.
   if (options_.columns.empty())
@@ -87,13 +89,11 @@ FeedScanner::FeedScanner(std::string csf_path, const FeedSchema& schema,
     }
   }
 
-  reader_ = std::make_unique<FeedFileReader>(csf_path);
   totals_.bytes_file = reader_->file_bytes();
   if (reader_->status() != FeedFileReader::Status::kOk) {
     // Whole-file failure is one quarantine unit, exactly as the replay
     // loader accounts it.
-    error_ = reader_->error().empty() ? "unreadable feed file: " + csf_path
-                                      : reader_->error();
+    error_ = reader_->error();
     totals_.shards_quarantined = 1;
     quarantine_log_.push_back(schema_.feed() + ": " + error_);
     return;
@@ -119,10 +119,16 @@ FeedScanner::FeedScanner(std::string csf_path, const FeedSchema& schema,
 
 FeedScanner::~FeedScanner() { record_metrics(); }
 
+FeedScanner FeedScanner::open(const StoreHandle& store,
+                              const FeedSchema& schema, ScanOptions options) {
+  return FeedScanner{store.reader(schema.feed()), schema, std::move(options)};
+}
+
 FeedScanner FeedScanner::open(const std::string& dir,
                               const FeedSchema& schema, ScanOptions options) {
-  return FeedScanner{dir + "/" + feed_file_name(schema.feed()), schema,
-                     std::move(options)};
+  return FeedScanner{std::make_shared<const FeedFileReader>(
+                         dir + "/" + feed_file_name(schema.feed())),
+                     schema, std::move(options)};
 }
 
 bool FeedScanner::next(ScanBatch& batch) {
@@ -307,12 +313,12 @@ void FeedScanner::record_metrics() {
 
 // ------------------------------------------------- figure-pipeline adapters
 
-std::optional<std::uint64_t> scan_scalar_u64(const std::string& dir,
+std::optional<std::uint64_t> scan_scalar_u64(const StoreHandle& store,
                                              ScalarId id) {
   ScanOptions options;
   options.columns = {"id", "uvalue"};
   FeedScanner scanner =
-      FeedScanner::open(dir, feed_schema("scalars"), std::move(options));
+      FeedScanner::open(store, feed_schema("scalars"), std::move(options));
   if (!scanner.ok()) return std::nullopt;
   std::optional<std::uint64_t> value;
   ScanBatch batch;
@@ -327,15 +333,20 @@ std::optional<std::uint64_t> scan_scalar_u64(const std::string& dir,
   return value;
 }
 
+std::optional<std::uint64_t> scan_scalar_u64(const std::string& dir,
+                                             ScalarId id) {
+  return scan_scalar_u64(StoreHandle{dir, {"scalars"}}, id);
+}
+
 std::optional<analysis::KpiGroupSeries> scan_kpi_group_series(
-    const std::string& dir, const analysis::CellGrouping& grouping,
+    const StoreHandle& store, const analysis::CellGrouping& grouping,
     telemetry::KpiMetric metric, analysis::CellReduction reduction,
     std::int64_t min_day, std::int64_t max_day) {
   // Completeness gate: the scalar feed says how many KPI rows a complete
   // store holds. Any shortfall — quarantine, truncation, a missing feed —
   // and the caller must fall back to the replay path rather than aggregate
   // partial data as if it were the whole network.
-  const auto expected = scan_scalar_u64(dir, kKpiRowCount);
+  const auto expected = scan_scalar_u64(store, kKpiRowCount);
   if (!expected) return std::nullopt;
 
   const FeedSchema& schema = feed_schema("kpis");
@@ -355,7 +366,7 @@ std::optional<analysis::KpiGroupSeries> scan_kpi_group_series(
   options.predicate.max_day = max_day;
   options.predicate.key_column = "cell";
   options.predicate.key_mask = &mask;
-  FeedScanner scanner = FeedScanner::open(dir, schema, std::move(options));
+  FeedScanner scanner = FeedScanner::open(store, schema, std::move(options));
   if (!scanner.ok() || scanner.totals().shards_quarantined > 0)
     return std::nullopt;
   if (scanner.footer_rows() != *expected) return std::nullopt;
@@ -384,8 +395,16 @@ std::optional<analysis::KpiGroupSeries> scan_kpi_group_series(
   return builder.finish();
 }
 
+std::optional<analysis::KpiGroupSeries> scan_kpi_group_series(
+    const std::string& dir, const analysis::CellGrouping& grouping,
+    telemetry::KpiMetric metric, analysis::CellReduction reduction,
+    std::int64_t min_day, std::int64_t max_day) {
+  return scan_kpi_group_series(StoreHandle{dir, {"scalars", "kpis"}},
+                               grouping, metric, reduction, min_day, max_day);
+}
+
 std::optional<analysis::GroupedDailySeries> scan_grouped_series(
-    const std::string& dir, SeriesId id, std::size_t group_count,
+    const StoreHandle& store, SeriesId id, std::size_t group_count,
     SimDay first_day, SimDay last_day) {
   // The series id doubles as a key predicate: only the requested series'
   // rows survive, so the raw64 sum column late-materializes per series.
@@ -399,7 +418,7 @@ std::optional<analysis::GroupedDailySeries> scan_grouped_series(
   options.predicate.key_column = "series_id";
   options.predicate.key_mask = &mask;
   FeedScanner scanner =
-      FeedScanner::open(dir, feed_schema("series"), std::move(options));
+      FeedScanner::open(store, feed_schema("series"), std::move(options));
   if (!scanner.ok()) return std::nullopt;
 
   analysis::GroupedDailySeries out{group_count, first_day, last_day};
@@ -421,12 +440,26 @@ std::optional<analysis::GroupedDailySeries> scan_grouped_series(
   return out;
 }
 
+std::optional<analysis::GroupedDailySeries> scan_grouped_series(
+    const std::string& dir, SeriesId id, std::size_t group_count,
+    SimDay first_day, SimDay last_day) {
+  return scan_grouped_series(StoreHandle{dir, {"series"}}, id, group_count,
+                             first_day, last_day);
+}
+
+std::optional<DailySeries> scan_daily_series(const StoreHandle& store,
+                                             SeriesId id, SimDay first_day,
+                                             SimDay last_day) {
+  auto grouped = scan_grouped_series(store, id, 1, first_day, last_day);
+  if (!grouped) return std::nullopt;
+  return grouped->group(0);
+}
+
 std::optional<DailySeries> scan_daily_series(const std::string& dir,
                                              SeriesId id, SimDay first_day,
                                              SimDay last_day) {
-  auto grouped = scan_grouped_series(dir, id, 1, first_day, last_day);
-  if (!grouped) return std::nullopt;
-  return grouped->group(0);
+  return scan_daily_series(StoreHandle{dir, {"series"}}, id, first_day,
+                           last_day);
 }
 
 void note_scan_fallback(telemetry::FeedQualityReport& quality,

@@ -30,6 +30,11 @@
 // the loop. A batch never spans a shard boundary, so the final batch of
 // each shard may be short.
 //
+// Reader lifetime: a scanner borrows its validated FeedFileReader through a
+// shared_ptr, so scanners opened from one StoreHandle (store/handle.h) on
+// any number of threads share one mapping and one verify, and the mapping
+// outlives the handle while any of them is still scanning.
+//
 // The adapters at the bottom port the figure pipelines onto the scan path
 // while keeping full replay as the reference oracle: each one re-checks
 // feed integrity (footer row counts vs the scalar feed's expected counts,
@@ -51,6 +56,7 @@
 #include "analysis/network_metrics.h"
 #include "common/timeseries.h"
 #include "store/feeds.h"
+#include "store/handle.h"
 #include "store/shard.h"
 #include "telemetry/quality.h"
 
@@ -129,11 +135,11 @@ class ScanBatch {
 
 class FeedScanner {
  public:
-  // Opens the feed file at `csf_path` under `schema`. Never throws on bad
-  // input: a missing/corrupt file or invalid options surface as
-  // ok() == false with the reason in error().
-  FeedScanner(std::string csf_path, const FeedSchema& schema,
-              ScanOptions options);
+  // Scans the feed `reader` (non-null) validated, under `schema`. Never
+  // throws on bad input: a missing/corrupt file or invalid options surface
+  // as ok() == false with the reason in error().
+  FeedScanner(std::shared_ptr<const FeedFileReader> reader,
+              const FeedSchema& schema, ScanOptions options);
   ~FeedScanner();
 
   FeedScanner(FeedScanner&&) = default;
@@ -141,7 +147,12 @@ class FeedScanner {
   FeedScanner(const FeedScanner&) = delete;
   FeedScanner& operator=(const FeedScanner&) = delete;
 
-  // Store-directory convenience: scans dir/<feed>.csf.
+  // Scans the handle's already-validated reader of schema.feed(); throws
+  // std::invalid_argument when the handle was not opened with that feed.
+  [[nodiscard]] static FeedScanner open(const StoreHandle& store,
+                                        const FeedSchema& schema,
+                                        ScanOptions options);
+  // Fresh open: maps and validates dir/<feed>.csf for this scanner alone.
   [[nodiscard]] static FeedScanner open(const std::string& dir,
                                         const FeedSchema& schema,
                                         ScanOptions options);
@@ -167,7 +178,7 @@ class FeedScanner {
  private:
   FeedSchema schema_;
   ScanOptions options_;
-  std::unique_ptr<FeedFileReader> reader_;
+  std::shared_ptr<const FeedFileReader> reader_;
   bool ok_ = false;
   std::string error_;
   ScanTotals totals_;
@@ -203,9 +214,16 @@ class FeedScanner {
 // Each adapter computes exactly what the corresponding full-replay pipeline
 // computes — bitwise — or returns nullopt when the store shows any damage
 // or inconsistency (the caller then uses the replayed Dataset instead).
+//
+// Each takes either an open StoreHandle, which must hold the feeds the
+// adapter reads (named per adapter; else std::invalid_argument), or a
+// store directory, which opens a temporary handle of just those feeds for
+// the one call: one scan path, two lifetimes.
 
 // One scalar of the `scalars` feed (u64 half), or nullopt when the feed is
-// unreadable, quarantined, or lacks the id.
+// unreadable, quarantined, or lacks the id. Reads: scalars.
+[[nodiscard]] std::optional<std::uint64_t> scan_scalar_u64(
+    const StoreHandle& store, ScalarId id);
 [[nodiscard]] std::optional<std::uint64_t> scan_scalar_u64(
     const std::string& dir, ScalarId id);
 
@@ -214,7 +232,13 @@ class FeedScanner {
 // metric column are decoded, with the grouping pushed down as a cell mask.
 // `min_day`/`max_day` optionally clip the scan (footer-pruned); the series
 // then covers the clipped range. Verified against the scalar feed's
-// expected row count before any row is trusted.
+// expected row count before any row is trusted. Reads: scalars, kpis.
+[[nodiscard]] std::optional<analysis::KpiGroupSeries> scan_kpi_group_series(
+    const StoreHandle& store, const analysis::CellGrouping& grouping,
+    telemetry::KpiMetric metric,
+    analysis::CellReduction reduction = analysis::CellReduction::kMedian,
+    std::int64_t min_day = std::numeric_limits<std::int64_t>::min(),
+    std::int64_t max_day = std::numeric_limits<std::int64_t>::max());
 [[nodiscard]] std::optional<analysis::KpiGroupSeries> scan_kpi_group_series(
     const std::string& dir, const analysis::CellGrouping& grouping,
     telemetry::KpiMetric metric,
@@ -224,12 +248,19 @@ class FeedScanner {
 
 // One GroupedDailySeries restored from the stored `series` feed by id
 // (series_id pushed down as a key mask), sized [first_day, last_day] like
-// read_dataset sizes it from the config.
+// read_dataset sizes it from the config. Reads: series.
+[[nodiscard]] std::optional<analysis::GroupedDailySeries> scan_grouped_series(
+    const StoreHandle& store, SeriesId id, std::size_t group_count,
+    SimDay first_day, SimDay last_day);
 [[nodiscard]] std::optional<analysis::GroupedDailySeries> scan_grouped_series(
     const std::string& dir, SeriesId id, std::size_t group_count,
     SimDay first_day, SimDay last_day);
 
-// Ungrouped variant (offnet minutes, interconnect loss, roamers).
+// Ungrouped variant (offnet minutes, interconnect loss, roamers). Reads:
+// series.
+[[nodiscard]] std::optional<DailySeries> scan_daily_series(
+    const StoreHandle& store, SeriesId id, SimDay first_day,
+    SimDay last_day);
 [[nodiscard]] std::optional<DailySeries> scan_daily_series(
     const std::string& dir, SeriesId id, SimDay first_day, SimDay last_day);
 

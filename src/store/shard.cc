@@ -305,8 +305,12 @@ void FeedFileReader::validate(const std::string& path) {
     error_ = path + ": footer checksum mismatch";
     return;
   }
+  // Every bound below is checked in subtraction form: the counts, offsets
+  // and lengths come off the disk, and an added or multiplied one could
+  // wrap past 2^64 into a small value that passes.
   const std::uint64_t shard_count = read_u64(body);
-  if (8 + shard_count * kFooterEntryBytes != body_len) {
+  if ((body_len - 8) % kFooterEntryBytes != 0 ||
+      shard_count != (body_len - 8) / kFooterEntryBytes) {
     error_ = path + ": footer entry count inconsistent";
     return;
   }
@@ -332,7 +336,7 @@ void FeedFileReader::validate(const std::string& path) {
     };
 
     if (entry.offset < kFileHeaderBytes || entry.length < kShardHeaderBytes ||
-        entry.offset + entry.length > data_end) {
+        entry.length > data_end || entry.offset > data_end - entry.length) {
       quarantine("offset/length outside file data region");
       continue;
     }
@@ -376,7 +380,7 @@ void FeedFileReader::validate(const std::string& path) {
       }
       column.encoding = static_cast<Encoding>(encoding);
       column.bytes = read_u64(d + 8);
-      if (payload_offset + column.bytes > entry.length) {
+      if (column.bytes > entry.length - payload_offset) {
         ok = false;
         break;
       }

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,58 @@ TEST(Crc32c, MatchesCheckValueAndChains) {
   const std::uint32_t first = crc32c(check, 4);
   EXPECT_EQ(crc32c(check + 4, sizeof check - 4, first),
             crc32c(check, sizeof check));
+}
+
+TEST(Crc32c, MatchesRfc3720Vectors) {
+  // RFC 3720 appendix B.4, on the selected kernel and the portable one.
+  std::uint8_t zeros[32] = {};
+  std::uint8_t ones[32];
+  std::uint8_t up[32];
+  std::uint8_t down[32];
+  for (int i = 0; i < 32; ++i) {
+    ones[i] = 0xFF;
+    up[i] = static_cast<std::uint8_t>(i);
+    down[i] = static_cast<std::uint8_t>(31 - i);
+  }
+  for (const auto kernel : {&crc32c, &crc32c_portable}) {
+    EXPECT_EQ(kernel(zeros, 32, 0), 0x8A9136AAu);
+    EXPECT_EQ(kernel(ones, 32, 0), 0x62A8AB43u);
+    EXPECT_EQ(kernel(up, 32, 0), 0x46DD794Eu);
+    EXPECT_EQ(kernel(down, 32, 0), 0x113FDB5Cu);
+  }
+}
+
+TEST(Crc32c, PicksTheHardwareKernelWhenTheCpuHasSse42) {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  EXPECT_EQ(crc32c_is_hardware(), __builtin_cpu_supports("sse4.2") != 0);
+#else
+  EXPECT_FALSE(crc32c_is_hardware());
+#endif
+}
+
+TEST(Crc32c, SelectedKernelMatchesPortableOnEveryLengthAndAlignment) {
+  // On an SSE4.2 machine crc32c is the hardware kernel, so this is the
+  // differential test of the two paths; elsewhere both sides are the
+  // portable kernel and only the seed chaining is tested.
+  std::mt19937_64 rng{20200405};
+  std::vector<std::uint8_t> buffer(1100 + 8);
+  for (auto& b : buffer) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; n <= 1100; ++n) {
+      const std::uint8_t* data = buffer.data() + offset;
+      const std::uint32_t want = crc32c_portable(data, n);
+      ASSERT_EQ(crc32c(data, n), want) << "offset " << offset << " n " << n;
+      // Seed chaining at a random split continues the same stream on both.
+      const std::size_t split = n == 0 ? 0 : rng() % (n + 1);
+      ASSERT_EQ(crc32c(data + split, n - split, crc32c(data, split)), want)
+          << "offset " << offset << " n " << n << " split " << split;
+      ASSERT_EQ(crc32c_portable(data + split, n - split,
+                                crc32c_portable(data, split)),
+                want)
+          << "offset " << offset << " n " << n << " split " << split;
+    }
+  }
 }
 
 TEST(ShardFile, RoundTripsMultipleShardsAndColumns) {

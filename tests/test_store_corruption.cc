@@ -18,6 +18,7 @@
 #include "store/checkpoint.h"
 #include "store/dataset_io.h"
 #include "store/format.h"
+#include "store/shard.h"
 
 namespace cellscope::store {
 namespace {
@@ -324,6 +325,127 @@ TEST_F(StoreCorruption, GarbageManifestReportsMissing) {
   const ReadOutcome outcome = read_dataset(dir, tiny_config());
   EXPECT_EQ(outcome.status, ReadOutcome::Status::kMissing);
   EXPECT_FALSE(outcome.dataset.has_value());
+}
+
+// ------------------------------------------- crafted footers and headers
+//
+// Feeds whose damage every checksum vouches for: a field is rewritten to a
+// value whose sum or product with another wraps past 2^64, then the CRCs
+// over it are recomputed. Only the reader's bounds checks stand between
+// such a file and an out-of-mapping read.
+
+// Fixed offsets of the CSF1 layout (docs/STORAGE.md).
+constexpr std::size_t kTailBytes = 16;
+constexpr std::size_t kShardStart = 8;       // right after the file header
+constexpr std::size_t kColumnDirStart = 32;  // within a shard
+
+void put_u64_at(std::vector<std::uint8_t>& b, std::size_t at,
+                std::uint64_t v) {
+  for (int i = 0; i < 8; ++i)
+    b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+void put_u32_at(std::vector<std::uint8_t>& b, std::size_t at,
+                std::uint32_t v) {
+  for (int i = 0; i < 4; ++i)
+    b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+// One shard of two columns (varint, raw64), written by the real writer and
+// returned as raw bytes.
+std::vector<std::uint8_t> one_shard_feed(const std::string& path) {
+  {
+    FeedFileWriter writer{path, {Encoding::kVarint, Encoding::kRaw64}};
+    for (int i = 0; i < 16; ++i) {
+      writer.u64(0, static_cast<std::uint64_t>(i) * 300);
+      writer.f64(1, i * 0.25);
+      writer.end_row(i);
+    }
+    writer.close();
+  }
+  std::vector<std::uint8_t> bytes(std::filesystem::file_size(path));
+  std::ifstream in{path, std::ios::binary};
+  in.read(reinterpret_cast<char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  return bytes;
+}
+
+std::size_t footer_body(const std::vector<std::uint8_t>& b) {
+  const std::size_t tail = b.size() - kTailBytes;
+  return tail - static_cast<std::size_t>(read_u64(b.data() + tail));
+}
+
+// Recomputes the footer CRC in the tail after an edit of the footer body.
+void reseal_footer(std::vector<std::uint8_t>& b) {
+  const std::size_t body = footer_body(b);
+  const std::size_t tail = b.size() - kTailBytes;
+  put_u32_at(b, tail + 8, crc32c(b.data() + body, tail - body));
+}
+
+void write_bytes(const std::string& path,
+                 const std::vector<std::uint8_t>& b) {
+  std::ofstream out{path, std::ios::binary | std::ios::trunc};
+  out.write(reinterpret_cast<const char*>(b.data()),
+            static_cast<std::streamsize>(b.size()));
+  ASSERT_TRUE(out.good()) << path;
+}
+
+TEST(CraftedFeed, ShardCountWrappingTheFooterSizeIsCorrupt) {
+  const std::string path = ::testing::TempDir() + "crafted_count.csf";
+  auto bytes = one_shard_feed(path);
+  // 8 + (2^60 + 1) * 48 wraps to 8 + 48: the one-shard footer's length.
+  put_u64_at(bytes, footer_body(bytes), (std::uint64_t{1} << 60) + 1);
+  reseal_footer(bytes);
+  write_bytes(path, bytes);
+
+  FeedFileReader reader{path};
+  EXPECT_EQ(reader.status(), FeedFileReader::Status::kCorrupt);
+  EXPECT_TRUE(reader.shards().empty());
+  std::filesystem::remove(path);
+}
+
+TEST(CraftedFeed, ShardOffsetWrappingPastTheDataEndIsQuarantined) {
+  const std::string path = ::testing::TempDir() + "crafted_offset.csf";
+  auto bytes = one_shard_feed(path);
+  const std::size_t entry = footer_body(bytes) + 8;
+  const std::uint64_t length = read_u64(bytes.data() + entry + 8);
+  // offset + length wraps to 8, which an added bound would let through.
+  put_u64_at(bytes, entry, 0 - length + kShardStart);
+  reseal_footer(bytes);
+  write_bytes(path, bytes);
+
+  FeedFileReader reader{path};
+  ASSERT_EQ(reader.status(), FeedFileReader::Status::kOk) << reader.error();
+  EXPECT_EQ(reader.quarantined_shards(), 1u);
+  EXPECT_TRUE(reader.shards().empty());
+  std::filesystem::remove(path);
+}
+
+TEST(CraftedFeed, ColumnLengthWrappingThePayloadIsQuarantined) {
+  const std::string path = ::testing::TempDir() + "crafted_column.csf";
+  auto bytes = one_shard_feed(path);
+  // Column 0 claims 2^64 - 1 bytes and column 1 one byte more than both
+  // really hold, so the running payload offset wraps back and lands
+  // exactly on the shard's end; the CRCs are recomputed over the edit.
+  const std::size_t dir0 = kShardStart + kColumnDirStart;
+  const std::size_t dir1 = dir0 + 16;
+  const std::uint64_t b0 = read_u64(bytes.data() + dir0 + 8);
+  const std::uint64_t b1 = read_u64(bytes.data() + dir1 + 8);
+  put_u64_at(bytes, dir0 + 8, ~std::uint64_t{0});
+  put_u64_at(bytes, dir1 + 8, b0 + b1 + 1);
+  const std::size_t entry = footer_body(bytes) + 8;
+  const std::uint64_t length = read_u64(bytes.data() + entry + 8);
+  put_u32_at(bytes, entry + 40,
+             crc32c(bytes.data() + kShardStart,
+                    static_cast<std::size_t>(length)));
+  reseal_footer(bytes);
+  write_bytes(path, bytes);
+
+  FeedFileReader reader{path};
+  ASSERT_EQ(reader.status(), FeedFileReader::Status::kOk) << reader.error();
+  EXPECT_EQ(reader.quarantined_shards(), 1u);
+  EXPECT_TRUE(reader.shards().empty());
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -96,6 +96,16 @@ const std::vector<std::string> kFigureBenches = {
     "bench_ext_query_load",
 };
 
+// The store-read path split into its layers (open + verify, the CRC32C
+// kernel alone, decode over a verified handle). A run missing any of them
+// is refused, baseline update included, so a regression in one layer can
+// never hide inside another's number.
+const std::vector<std::string> kRequiredKernels = {
+    "BM_StoreOpen/131072",
+    "BM_ShardVerify/131072",
+    "BM_ScanDecode/131072",
+};
+
 // Deterministic gate scale, unless the caller pinned their own.
 void pin_bench_env() {
   setenv("CELLSCOPE_BENCH_USERS", "4000", /*overwrite=*/0);
@@ -219,6 +229,16 @@ int main(int argc, char** argv) {
   if (current.kernels.empty()) {
     std::cerr << "perfgate: no kernel records parsed\n";
     return 2;
+  }
+  for (const auto& name : kRequiredKernels) {
+    const bool found = std::any_of(
+        current.kernels.begin(), current.kernels.end(),
+        [&](const cellscope::obs::KernelRecord& k) { return k.name == name; });
+    if (!found) {
+      std::cerr << "perfgate: required kernel '" << name
+                << "' missing from bench_perf_kernels\n";
+      return 2;
+    }
   }
 
   if (update_mode) {
