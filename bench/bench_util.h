@@ -233,6 +233,9 @@ inline void write_obs_outputs(const std::string& slug,
         obs::rss_slope_kb_per_day(timeline_samples);
     manifest.timeline.rows_per_sec = timeline_samples.back().rows_per_sec;
     manifest.timeline.users_per_sec = timeline_samples.back().users_per_sec;
+    manifest.timeline.checkpoint_slope_ms_per_day =
+        obs::checkpoint_slope_ms_per_day(timeline_samples);
+    manifest.timeline.checkpoint_last_bytes = timeline.last_checkpoint_bytes();
   }
 
   const std::string base = dir + "/" + slug;

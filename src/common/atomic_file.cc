@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -78,7 +79,28 @@ void publish_file_atomic(int fd, const std::string& tmp_path,
   sync_parent_dir(final_path);
 }
 
-std::size_t remove_stale_tmp_files(const std::string& dir) {
+bool read_file(const std::string& path, std::vector<std::uint8_t>& out) {
+  int fd = -1;
+  do {
+    fd = ::open(path.c_str(), O_RDONLY);
+  } while (fd < 0 && errno == EINTR);
+  if (fd < 0) return false;
+  out.clear();
+  std::uint8_t buf[1 << 16];
+  for (;;) {
+    const ::ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      ::close(fd);
+      if (n < 0) out.clear();
+      return n == 0;
+    }
+    out.insert(out.end(), buf, buf + n);
+  }
+}
+
+std::size_t remove_stale_tmp_files(const std::string& dir,
+                                   const std::vector<std::string>& keep) {
   namespace fs = std::filesystem;
   std::error_code ec;
   if (!fs::is_directory(dir, ec)) return 0;
@@ -87,7 +109,8 @@ std::size_t remove_stale_tmp_files(const std::string& dir) {
     if (!entry.is_regular_file(ec)) continue;
     const std::string name = entry.path().filename().string();
     if (name.size() <= std::string_view{kTmpSuffix}.size() ||
-        !name.ends_with(kTmpSuffix))
+        !name.ends_with(kTmpSuffix) ||
+        std::find(keep.begin(), keep.end(), name) != keep.end())
       continue;
     if (fs::remove(entry.path(), ec)) ++removed;
   }

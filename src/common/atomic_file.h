@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 namespace cellscope {
 
@@ -33,9 +35,16 @@ void write_file_atomic(const std::string& path, const std::string& contents);
 void publish_file_atomic(int fd, const std::string& tmp_path,
                          const std::string& final_path);
 
+// Reads the whole file at `path` into `out`, retrying EINTR (a signal
+// mid-read must not make a valid file look absent). False, with `out`
+// empty, when it cannot be opened or read.
+bool read_file(const std::string& path, std::vector<std::uint8_t>& out);
+
 // Deletes every `*.tmp` file directly inside `dir` (non-recursive); these
-// are by construction unpublished leftovers from a crashed writer. Returns
-// the number removed. A missing directory counts as empty.
-std::size_t remove_stale_tmp_files(const std::string& dir);
+// are by construction unpublished leftovers from a crashed writer. Files
+// named in `keep` stay (a writer's resumable scratch files). Returns the
+// number removed. A missing directory counts as empty.
+std::size_t remove_stale_tmp_files(const std::string& dir,
+                                   const std::vector<std::string>& keep = {});
 
 }  // namespace cellscope

@@ -121,6 +121,17 @@ class BlobReader {
     return s;
   }
 
+  // An element count that sizes a container: a u64() no larger than the
+  // bytes left allow (each element takes at least `min_bytes` of them), so
+  // a corrupt count throws BlobError instead of requesting an impossible
+  // allocation.
+  std::size_t count(std::size_t min_bytes = 1) {
+    const std::uint64_t n = u64();
+    if (n > remaining() / min_bytes)
+      throw BlobError{"checkpoint blob: count exceeds the input"};
+    return static_cast<std::size_t>(n);
+  }
+
   [[nodiscard]] bool done() const { return pos_ == data_.size(); }
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
 

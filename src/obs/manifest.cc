@@ -107,7 +107,11 @@ void write_manifest_json(std::ostream& os, const RunManifest& m) {
        << ", \"rss_slope_kb_per_day\": "
        << number(m.timeline.rss_slope_kb_per_day)
        << ", \"rows_per_sec\": " << number(m.timeline.rows_per_sec)
-       << ", \"users_per_sec\": " << number(m.timeline.users_per_sec) << "}";
+       << ", \"users_per_sec\": " << number(m.timeline.users_per_sec)
+       << ", \"checkpoint_slope_ms_per_day\": "
+       << number(m.timeline.checkpoint_slope_ms_per_day)
+       << ", \"checkpoint_last_bytes\": " << m.timeline.checkpoint_last_bytes
+       << "}";
   }
 
   if (m.audit_enabled) {

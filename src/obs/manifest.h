@@ -89,6 +89,10 @@ struct RunManifest {
     double rss_slope_kb_per_day = 0.0;
     double rows_per_sec = 0.0;   // from the final sample
     double users_per_sec = 0.0;  // from the final sample
+    // Checkpoint cost over the run: least-squares ms/day of the per-day
+    // checkpoint latency, and the last checkpoint payload's size.
+    double checkpoint_slope_ms_per_day = 0.0;
+    std::uint64_t checkpoint_last_bytes = 0;
   };
   TimelineSummary timeline;
 };

@@ -52,14 +52,17 @@ void reset_tracked_bytes() {
     counter.store(0, std::memory_order_relaxed);
 }
 
-double rss_slope_kb_per_day(std::span<const TimelineSample> samples) {
-  // Least squares of rss_kb on day over day-boundary samples only: the
-  // fallback samples carry day = -1 and would skew the fit.
+namespace {
+
+// Least squares of one sample field on day over day-boundary samples only:
+// the fallback samples carry day = -1 and would skew the fit.
+template <typename Field>
+double day_slope(std::span<const TimelineSample> samples, Field field) {
   double n = 0.0, sum_x = 0.0, sum_y = 0.0, sum_xx = 0.0, sum_xy = 0.0;
   for (const auto& s : samples) {
     if (s.day < 0) continue;
     const auto x = static_cast<double>(s.day);
-    const auto y = static_cast<double>(s.rss_kb);
+    const auto y = static_cast<double>(s.*field);
     n += 1.0;
     sum_x += x;
     sum_y += y;
@@ -70,6 +73,16 @@ double rss_slope_kb_per_day(std::span<const TimelineSample> samples) {
   const double denom = n * sum_xx - sum_x * sum_x;
   if (denom == 0.0) return 0.0;
   return (n * sum_xy - sum_x * sum_y) / denom;
+}
+
+}  // namespace
+
+double rss_slope_kb_per_day(std::span<const TimelineSample> samples) {
+  return day_slope(samples, &TimelineSample::rss_kb);
+}
+
+double checkpoint_slope_ms_per_day(std::span<const TimelineSample> samples) {
+  return day_slope(samples, &TimelineSample::checkpoint_ms);
 }
 
 long steady_rss_kb(std::span<const TimelineSample> samples) {
@@ -141,6 +154,16 @@ void Timeline::record_flush_ms(double ms) {
   last_flush_ms_ = ms;
 }
 
+void Timeline::record_checkpoint_bytes(std::uint64_t bytes) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  last_checkpoint_bytes_ = bytes;
+}
+
+std::uint64_t Timeline::last_checkpoint_bytes() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return last_checkpoint_bytes_;
+}
+
 std::vector<TimelineSample> Timeline::samples() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return samples_;
@@ -210,6 +233,7 @@ void Timeline::reset() {
   samples_.clear();
   last_checkpoint_ms_ = 0.0;
   last_flush_ms_ = 0.0;
+  last_checkpoint_bytes_ = 0;
   epoch_ns_ = 0;
 }
 

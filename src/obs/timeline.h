@@ -69,6 +69,11 @@ struct TimelineSample {
 [[nodiscard]] double rss_slope_kb_per_day(
     std::span<const TimelineSample> samples);
 
+// The same fit of checkpoint_ms over day: how much each day's checkpoint
+// grows as the run goes on. Near zero when a checkpoint is O(state).
+[[nodiscard]] double checkpoint_slope_ms_per_day(
+    std::span<const TimelineSample> samples);
+
 // Steady-state RSS estimate: median rss_kb over the second half of the
 // day-boundary samples (the run's plateau, past setup growth); 0 when no
 // day samples exist.
@@ -90,6 +95,9 @@ class Timeline {
   // next to their registry histograms.
   void record_checkpoint_ms(double ms);
   void record_flush_ms(double ms);
+  // Size of the latest checkpoint record's payload, for the run summary.
+  void record_checkpoint_bytes(std::uint64_t bytes);
+  [[nodiscard]] std::uint64_t last_checkpoint_bytes() const;
 
   [[nodiscard]] std::vector<TimelineSample> samples() const;
   [[nodiscard]] bool empty() const;
@@ -116,6 +124,7 @@ class Timeline {
   std::vector<TimelineSample> samples_;
   double last_checkpoint_ms_ = 0.0;
   double last_flush_ms_ = 0.0;
+  std::uint64_t last_checkpoint_bytes_ = 0;
   std::uint64_t epoch_ns_ = 0;  // 0 = epoch not started yet
 };
 

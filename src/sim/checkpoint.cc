@@ -1,6 +1,5 @@
 #include "sim/checkpoint.h"
 
-#include <array>
 #include <utility>
 
 #include "sim/simulator.h"
@@ -201,24 +200,15 @@ void save_dataset_state(const Dataset& ds, BlobWriter& w) {
       w.u64(counts.observed);
     }
   }
-
-  // KPI rows — the dominant feed. Stored whole so resume can re-stream the
-  // exact row sequence through a fresh DatasetWriter, which makes the CSF1
-  // bytes a pure function of the rows and byte-identity trivial.
-  w.u64(ds.kpis.records().size());
-  for (const auto& rec : ds.kpis.records()) {
-    w.i64(rec.day);
-    w.u32(rec.cell.value());
-    for (int m = 0; m < telemetry::kKpiMetricCount; ++m)
-      w.f64(telemetry::kpi_value(rec, static_cast<telemetry::KpiMetric>(m)));
-  }
 }
 
 void restore_dataset_state(Dataset& ds, BlobReader& r) {
-  const std::uint64_t n_homes = r.u64();
+  // Counts that size a container are bounded by the bytes left: a home
+  // takes at least 13 of them, a validation point at least 3.
+  const std::size_t n_homes = r.count(13);
   ds.homes.clear();
   ds.homes.reserve(n_homes);
-  for (std::uint64_t i = 0; i < n_homes; ++i) {
+  for (std::size_t i = 0; i < n_homes; ++i) {
     analysis::HomeRecord h;
     h.user = UserId{r.u32()};
     h.home_site = SiteId{r.u32()};
@@ -228,10 +218,10 @@ void restore_dataset_state(Dataset& ds, BlobReader& r) {
     h.nights_observed = static_cast<int>(r.i64());
     ds.homes.push_back(h);
   }
-  const std::uint64_t n_points = r.u64();
+  const std::size_t n_points = r.count(3);
   ds.home_validation.points.clear();
   ds.home_validation.points.reserve(n_points);
-  for (std::uint64_t i = 0; i < n_points; ++i) {
+  for (std::size_t i = 0; i < n_points; ++i) {
     analysis::LadValidationPoint p;
     p.lad = LadId{r.u32()};
     p.census_population = r.i64();
@@ -247,13 +237,21 @@ void restore_dataset_state(Dataset& ds, BlobReader& r) {
   ds.london_residents_tracked = static_cast<std::size_t>(r.u64());
   if (r.u8() != 0) {
     const CountyId home_county{r.u32()};
-    const auto first = static_cast<SimDay>(r.i64());
-    const auto last = static_cast<SimDay>(r.i64());
+    const std::int64_t first = r.i64();
+    const std::int64_t last = r.i64();
+    const std::size_t counties = ds.geography->counties().size();
+    // The matrix is sized by these, so they must describe this scenario.
+    if (home_county.value() >= counties || first > last ||
+        first < ds.config.first_day() || last > ds.config.last_day())
+      throw BlobError{"checkpoint blob: relocation matrix outside the run"};
     ds.london_matrix = std::make_unique<analysis::MobilityMatrix>(
-        *ds.geography, home_county, first, last);
+        *ds.geography, home_county, static_cast<SimDay>(first),
+        static_cast<SimDay>(last));
     const std::uint64_t presence_rows = r.u64();
     for (std::uint64_t i = 0; i < presence_rows; ++i) {
       const std::uint32_t county = r.u32();
+      if (county >= counties)
+        throw BlobError{"checkpoint blob: relocation county out of range"};
       const auto day = static_cast<SimDay>(r.i64());
       ds.london_matrix->restore_presence(CountyId{county}, day, r.f64());
     }
@@ -318,34 +316,6 @@ void restore_dataset_state(Dataset& ds, BlobReader& r) {
       f.days[day] = {expected, observed};
     }
   }
-
-  const std::uint64_t n_kpi = r.u64();
-  std::vector<telemetry::CellDayRecord> day_batch;
-  for (std::uint64_t i = 0; i < n_kpi; ++i) {
-    telemetry::CellDayRecord rec;
-    rec.day = static_cast<SimDay>(r.i64());
-    rec.cell = CellId{r.u32()};
-    std::array<double, telemetry::kKpiMetricCount> values{};
-    for (int m = 0; m < telemetry::kKpiMetricCount; ++m)
-      values[static_cast<std::size_t>(m)] = r.f64();
-    rec.dl_volume_mb = values[0];
-    rec.ul_volume_mb = values[1];
-    rec.active_dl_users = values[2];
-    rec.tti_utilization = values[3];
-    rec.user_dl_throughput_mbps = values[4];
-    rec.active_data_seconds = values[5];
-    rec.connected_users = values[6];
-    rec.voice_volume_mb = values[7];
-    rec.simultaneous_voice_users = values[8];
-    rec.voice_dl_loss_pct = values[9];
-    rec.voice_ul_loss_pct = values[10];
-    if (!day_batch.empty() && rec.day != day_batch.front().day) {
-      ds.kpis.add_day(std::move(day_batch));
-      day_batch = {};
-    }
-    day_batch.push_back(rec);
-  }
-  if (!day_batch.empty()) ds.kpis.add_day(std::move(day_batch));
 }
 
 }  // namespace cellscope::sim

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -89,6 +90,11 @@ class FilteredSignalingSink final : public traffic::SignalingSink {
 };
 
 }  // namespace
+
+std::optional<std::vector<telemetry::CellDayRecord>> DatasetSink::resume_kpis(
+    SimDay /*day*/, std::uint64_t /*rows*/) {
+  throw std::logic_error{"sink cannot resume"};
+}
 
 Simulator::Simulator(ScenarioConfig config) : config_(std::move(config)) {}
 
@@ -368,14 +374,17 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
   Supervisor supervisor{pool};
 
   // -------------------------------------------------- checkpoint/resume
-  // One blob per completed day: the run-local evolving state below, then
-  // the accumulated Dataset (sim/checkpoint.cc). Everything else regrows
-  // from the config. The restore reads the exact same sequence back.
-  constexpr std::uint64_t kRunStateVersion = 1;
+  // One blob per completed day: the committed KPI row count, the run-local
+  // evolving state below, then the accumulated Dataset minus its KPI rows
+  // (sim/checkpoint.cc). The rows themselves are durable in the sink, and
+  // everything else regrows from the config. The restore reads the exact
+  // same sequence back.
+  constexpr std::uint64_t kRunStateVersion = 2;
   const auto save_checkpoint = [&](SimDay day_done) {
     BlobWriter w;
     w.u64(kRunStateVersion);
     w.u64(n_users);
+    w.u64(ds.kpis.records().size());
     for (std::size_t i = 0; i < n_users; ++i) {
       const mobility::UserState& s = user_states[i];
       w.u8(static_cast<std::uint8_t>(
@@ -428,19 +437,17 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
     w.f64(lte_hours);
     w.f64(legacy_hours);
     save_dataset_state(ds, w);
-    if (obs_on)
+    if (obs_on) {
       obs::track_bytes(obs::Subsystem::kSim, w.data().size());
+      obs::timeline().record_checkpoint_bytes(w.data().size());
+    }
     checkpoint->on_day_complete(day_done, w.take());
   };
 
-  SimDay start_day = first_day;
-  if (checkpoint != nullptr && !checkpoint->resume_payload().empty()) {
-    const auto resume_span = tracer.span("setup.resume", "setup");
-    BlobReader r{checkpoint->resume_payload()};
-    if (r.u64() != kRunStateVersion)
-      throw BlobError{"checkpoint blob: unsupported run-state version"};
-    if (r.u64() != n_users)
-      throw BlobError{"checkpoint blob: user count mismatch"};
+  // Restores what save_checkpoint() wrote after the row count, with the
+  // committed KPI rows the sink gave back.
+  const auto restore_checkpoint =
+      [&](BlobReader& r, const std::vector<telemetry::CellDayRecord>& rows) {
     for (std::size_t i = 0; i < n_users; ++i) {
       const std::uint8_t flags = r.u8();
       mobility::UserState& s = user_states[i];
@@ -471,13 +478,13 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
     }
     homes_finalized = r.u8() != 0;
     if (!homes_finalized) {
-      std::vector<analysis::HomeDetector::SavedUserState> saved(
-          static_cast<std::size_t>(r.u64()));
+      // Each user takes at least 4 bytes, each site at least 11.
+      std::vector<analysis::HomeDetector::SavedUserState> saved(r.count(4));
       for (auto& u : saved) {
         u.user = r.u32();
         u.nights = r.u32();
         u.last_night_day = static_cast<SimDay>(r.i64());
-        u.sites.resize(static_cast<std::size_t>(r.u64()));
+        u.sites.resize(r.count(11));
         for (auto& s : u.sites) {
           s.site = r.u32();
           s.night_hours = r.f64();
@@ -493,6 +500,11 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
     legacy_hours = r.f64();
     restore_dataset_state(ds, r);
     if (!r.done()) throw BlobError{"checkpoint blob: trailing bytes"};
+    for (std::size_t lo = 0, hi = 0; lo < rows.size(); lo = hi) {
+      while (hi < rows.size() && rows[hi].day == rows[lo].day) ++hi;
+      ds.kpis.add_day({rows.begin() + static_cast<std::ptrdiff_t>(lo),
+                       rows.begin() + static_cast<std::ptrdiff_t>(hi)});
+    }
 
     // Derived state the blob does not carry: the interconnect's capacity
     // (a pure function of the calibration scalar) and the London tracking
@@ -500,32 +512,36 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
     if (interconnect_calibrated)
       interconnect.calibrate(std::max(week9_busy_hour_minutes, 1.0));
     if (homes_finalized && inner_london) {
-      for (const auto& home : ds.homes)
-        if (home.home_county == *inner_london)
-          tracked_london[home.user.value()] = 1;
-    }
-
-    start_day = checkpoint->resume_day() + 1;
-    ds.recovery.resumed = true;
-    ds.recovery.resumed_from_day = checkpoint->resume_day();
-    ds.recovery.checkpoint_kpi_rows = ds.kpis.records().size();
-    ds.recovery.checkpoint_voice_attempts = ds.voice_calls.total_attempts();
-    ds.recovery.checkpoint_signaling_days = ds.signaling.days().size();
-
-    // Re-stream the restored KPI days through the sink in their original
-    // day batches: a streaming store sees the exact row sequence of the
-    // uninterrupted run, so its bytes come out identical.
-    if (sink != nullptr) {
-      const auto& records = ds.kpis.records();
-      std::size_t lo = 0;
-      while (lo < records.size()) {
-        std::size_t hi = lo;
-        while (hi < records.size() && records[hi].day == records[lo].day) ++hi;
-        sink->on_kpi_day(records[lo].day,
-                         std::span<const telemetry::CellDayRecord>{
-                             records.data() + lo, hi - lo});
-        lo = hi;
+      for (const auto& home : ds.homes) {
+        if (home.home_county != *inner_london) continue;
+        if (home.user.value() >= n_users)
+          throw BlobError{"checkpoint blob: home user out of range"};
+        tracked_london[home.user.value()] = 1;
       }
+    }
+  };
+
+  SimDay start_day = first_day;
+  if (checkpoint != nullptr && !checkpoint->resume_payload().empty()) {
+    const auto resume_span = tracer.span("setup.resume", "setup");
+    BlobReader r{checkpoint->resume_payload()};
+    if (r.u64() != kRunStateVersion)
+      throw BlobError{"checkpoint blob: unsupported run-state version"};
+    if (r.u64() != n_users)
+      throw BlobError{"checkpoint blob: user count mismatch"};
+    const std::uint64_t kpi_rows = r.u64();
+    if (sink == nullptr) throw std::logic_error{"sink cannot resume"};
+    // The committed KPI rows come back from the sink. When it cannot vouch
+    // for them the checkpoint is ignored and the run starts fresh.
+    if (const auto rows =
+            sink->resume_kpis(checkpoint->resume_day(), kpi_rows)) {
+      restore_checkpoint(r, *rows);
+      start_day = checkpoint->resume_day() + 1;
+      ds.recovery.resumed = true;
+      ds.recovery.resumed_from_day = checkpoint->resume_day();
+      ds.recovery.checkpoint_kpi_rows = ds.kpis.records().size();
+      ds.recovery.checkpoint_voice_attempts = ds.voice_calls.total_attempts();
+      ds.recovery.checkpoint_signaling_days = ds.signaling.days().size();
     }
   }
 

@@ -21,7 +21,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
+#include <vector>
 
 #include "analysis/aggregation.h"
 #include "analysis/distribution.h"
@@ -150,11 +152,22 @@ struct Dataset {
 // finalized cell-day rows — the same rows that are about to enter
 // Dataset::kpis — so a sink can persist the dominant feed incrementally
 // with bounded memory instead of walking the finished Dataset.
+//
+// A checkpoint never carries KPI rows, only how many were committed: the
+// sink is their durable copy. On resume the simulator calls resume_kpis()
+// once, before any on_kpi_day(), with the checkpoint's day and row count.
+// The sink returns exactly its first `rows` rows (all from days up to
+// `day`) and forgets any later ones, or nullopt when it cannot vouch for
+// that prefix, in which case the run ignores the checkpoint and starts
+// fresh. The default throws std::logic_error: a sink that keeps no rows
+// cannot back a resume.
 class DatasetSink {
  public:
   virtual ~DatasetSink() = default;
   virtual void on_kpi_day(SimDay day,
                           std::span<const telemetry::CellDayRecord> rows) = 0;
+  [[nodiscard]] virtual std::optional<std::vector<telemetry::CellDayRecord>>
+  resume_kpis(SimDay day, std::uint64_t rows);
 };
 
 // Builds the deterministic substrate (geography, device catalog,
@@ -171,8 +184,8 @@ class Simulator {
   // Runs the whole window and returns the populated dataset. A non-null
   // sink receives feed rows as days complete. A non-null checkpoint makes
   // the run resumable: its saved state (if any) fast-forwards the run to
-  // the first incomplete day — with restored KPI days re-streamed through
-  // `sink` first, so a streaming store ends up byte-identical — and every
+  // the first incomplete day, with the committed KPI rows taken back from
+  // `sink` (DatasetSink::resume_kpis; a resume needs a sink), and every
   // completed day is checkpointed. Throws RunInterrupted (sim/interrupt.h)
   // at a day boundary when an interrupt was requested, and DayFailed
   // (sim/supervisor.h) when a day exhausted its supervised retries.

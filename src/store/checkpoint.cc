@@ -1,6 +1,5 @@
 #include "store/checkpoint.h"
 
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <unistd.h>
@@ -15,32 +14,13 @@ namespace {
 constexpr std::uint32_t kCheckpointMagic = 0x54504b43;  // "CKPT"
 constexpr std::uint32_t kCheckpointVersion = 1;
 
-// Reads the whole file; empty result on any I/O trouble (the caller treats
-// every load failure identically: no resumable state).
-std::vector<std::uint8_t> slurp(const std::string& path) {
-  // Retry EINTR: a signal mid-open (the SIGINT flush) must not make a
-  // valid checkpoint look absent and silently restart the run from day 0.
-  std::FILE* f = nullptr;
-  do {
-    errno = 0;
-    f = std::fopen(path.c_str(), "rb");
-  } while (f == nullptr && errno == EINTR);
-  if (f == nullptr) return {};
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-    bytes.insert(bytes.end(), buf, buf + n);
-  std::fclose(f);
-  return bytes;
-}
-
 }  // namespace
 
 CheckpointManager::CheckpointManager(std::string dir, std::string config_digest)
     : path_(std::move(dir) + "/checkpoint.ckpt"),
       digest_(std::move(config_digest)) {
-  const std::vector<std::uint8_t> bytes = slurp(path_);
+  std::vector<std::uint8_t> bytes;
+  if (!read_file(path_, bytes)) return;
   // Fixed prelude: magic + version + digest length.
   if (bytes.size() < 12) return;
   const std::uint8_t* p = bytes.data();
@@ -56,7 +36,9 @@ CheckpointManager::CheckpointManager(std::string dir, std::string config_digest)
   off += 8;
   const std::uint64_t payload_len = read_u64(p + off);
   off += 8;
-  if (bytes.size() - off < payload_len + 4) return;
+  // Subtraction form: payload_len comes off the disk, and payload_len + 4
+  // could wrap past 2^64 into a small value that passes.
+  if (bytes.size() - off < 4 || bytes.size() - off - 4 < payload_len) return;
   const std::size_t crc_off = off + payload_len;
   if (crc32c(p, crc_off) != read_u32(p + crc_off)) return;
   // A record for a different scenario is valid but not ours: start fresh.

@@ -15,6 +15,11 @@
 //   u64  payload length, then the opaque simulator blob
 //   u32  CRC32C over everything above
 //
+// The blob is O(state): it counts the committed KPI rows but does not hold
+// them. Those are durable in the store's own KPI feed (DatasetWriter keeps
+// a CRC-checked prefix of it, store/shard.h), so a day's record costs the
+// same on day 90 as on day 30.
+//
 // The digest keys the record to the scenario: a checkpoint written under a
 // different config (or a corrupt/truncated file) is ignored and the run
 // starts fresh — resuming someone else's state would be worse than

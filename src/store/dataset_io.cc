@@ -1,5 +1,6 @@
 #include "store/dataset_io.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -53,19 +54,28 @@ const std::vector<std::string>& dataset_feeds() {
 
 struct DatasetWriter::Impl {
   std::string dir;
+  // Opened by the first on_kpi_day()/finish() (fresh) or resume_kpis().
   std::unique_ptr<FeedFileWriter> kpis;
   std::uint64_t streamed_rows = 0;
   bool finished = false;
+
+  FeedFileWriter& fresh_kpis() {
+    if (kpis == nullptr)
+      kpis = std::make_unique<FeedFileWriter>(
+          feed_path(dir, "kpis"), feed_schema("kpis").encodings());
+    return *kpis;
+  }
 };
 
 DatasetWriter::DatasetWriter(std::string dir) : impl_(new Impl) {
   impl_->dir = obs::ensure_obs_dir(dir);
   // A crashed writer leaves only *.tmp files behind (feed files publish
-  // exclusively via close()'s rename); sweep the orphans before opening
-  // fresh ones so a resumed run starts from a clean directory.
-  remove_stale_tmp_files(impl_->dir);
-  impl_->kpis = std::make_unique<FeedFileWriter>(
-      feed_path(impl_->dir, "kpis"), feed_schema("kpis").encodings());
+  // exclusively via close()'s rename); sweep the orphans so the run starts
+  // from a clean directory. The KPI feed's pair stays until the run knows
+  // whether it resumes from it.
+  const std::string kpis = feed_file_name("kpis");
+  remove_stale_tmp_files(impl_->dir,
+                         {kpis + kTmpSuffix, kpis + kOpenRecordSuffix});
 }
 
 DatasetWriter::~DatasetWriter() = default;
@@ -75,7 +85,9 @@ void DatasetWriter::on_kpi_day(SimDay day,
   const auto span = obs::tracer().span("store.flush", "store", day);
   const bool obs_on = obs::enabled();
   const auto flush_start = std::chrono::steady_clock::now();
-  for (const auto& r : rows) write_kpi_row(*impl_->kpis, r);
+  FeedFileWriter& kpis = impl_->fresh_kpis();
+  for (const auto& r : rows) write_kpi_row(kpis, r);
+  kpis.sync();
   impl_->streamed_rows += rows.size();
   if (obs_on) {
     const double flush_ms = std::chrono::duration<double, std::milli>(
@@ -103,10 +115,11 @@ WriteStats DatasetWriter::finish(const sim::Dataset& ds) {
 
   // KPI feed: already streamed day-by-day when this writer rode along as
   // the simulation's sink; written from the materialized store otherwise.
+  FeedFileWriter& kpis = impl_->fresh_kpis();
   if (impl_->streamed_rows == 0) {
-    for (const auto& r : ds.kpis.records()) write_kpi_row(*impl_->kpis, r);
+    for (const auto& r : ds.kpis.records()) write_kpi_row(kpis, r);
   }
-  close_feed(*impl_->kpis);
+  close_feed(kpis);
   impl_->kpis.reset();
 
   const auto open = [&](const std::string& feed) {
@@ -477,6 +490,52 @@ bool decode_kpi_shard(const ShardView& shard,
 }
 
 }  // namespace
+
+std::optional<std::vector<telemetry::CellDayRecord>> DatasetWriter::resume_kpis(
+    SimDay day, std::uint64_t rows) {
+  if (impl_->kpis != nullptr)
+    throw std::logic_error("DatasetWriter: resume_kpis() after the feed opened");
+  // Nothing streamed yet: the first on_kpi_day() starts the feed afresh.
+  if (rows == 0) return std::vector<telemetry::CellDayRecord>{};
+  const std::string path = feed_path(impl_->dir, "kpis");
+  std::optional<PendingFeed> pending = FeedFileWriter::recover(path, rows);
+  if (!pending) return std::nullopt;
+
+  // Decode the prefix. It must end on the checkpoint's day boundary: no
+  // row after `day` inside it, none of `day` or earlier right after it.
+  std::vector<telemetry::CellDayRecord> out;
+  out.reserve(rows);
+  std::vector<telemetry::CellDayRecord> shard_rows;
+  std::size_t whole_shards = 0;  // flushed shards entirely inside the prefix
+  for (const ShardView& shard : pending->shards) {
+    if (out.size() == rows) break;
+    if (shard.columns.size() != feed_schema("kpis").size() ||
+        !decode_kpi_shard(shard, shard_rows))
+      return std::nullopt;
+    const std::size_t take = std::min<std::size_t>(shard_rows.size(),
+                                                   rows - out.size());
+    out.insert(out.end(), shard_rows.begin(),
+               shard_rows.begin() + static_cast<std::ptrdiff_t>(take));
+    if (take < shard_rows.size() && shard_rows[take].day <= day)
+      return std::nullopt;
+    if (take == shard_rows.size() && whole_shards < pending->index.size())
+      ++whole_shards;
+  }
+  if (out.size() != rows || (!out.empty() && out.back().day > day))
+    return std::nullopt;
+
+  // Reopen after the whole shards and buffer the rest again; sync()
+  // records that state, then cuts whatever followed it on disk.
+  impl_->kpis = std::make_unique<FeedFileWriter>(
+      path, feed_schema("kpis").encodings(),
+      std::span<const ShardIndexEntry>{pending->index.data(), whole_shards});
+  for (std::size_t i = static_cast<std::size_t>(impl_->kpis->rows_written());
+       i < out.size(); ++i)
+    write_kpi_row(*impl_->kpis, out[i]);
+  impl_->kpis->sync();
+  impl_->streamed_rows = rows;
+  return out;
+}
 
 ScanStats scan_kpis(
     const std::string& dir,

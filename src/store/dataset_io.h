@@ -50,15 +50,32 @@ struct WriteStats {
 // KPI feed (cells x days rows — everything else is small) is flushed to
 // disk shard by shard while the simulation runs, then call finish() with
 // the completed dataset to write the remaining feeds and the manifest.
+//
+// The streamed KPI rows are durable day by day (FeedFileWriter::sync), so
+// the feed's scratch file is also the resumable copy of every KPI row a
+// checkpoint covers: a writer unwound by an interrupt or a failed day
+// keeps it, and resume_kpis() picks it up again.
 class DatasetWriter final : public sim::DatasetSink {
  public:
-  // Creates `dir` (and parents) if needed. Throws std::runtime_error when
-  // the directory or a feed file cannot be created.
+  // Creates `dir` (and parents) if needed and sweeps stale *.tmp files,
+  // except the KPI feed's scratch file and open-shard record: the first
+  // on_kpi_day()/finish() of a fresh run discards those, resume_kpis()
+  // resumes them. Throws std::runtime_error when the directory cannot be
+  // created.
   explicit DatasetWriter(std::string dir);
   ~DatasetWriter() override;
 
+  // Appends the day's rows to the KPI feed and makes every row through
+  // `day` durable (fdatasync) before returning.
   void on_kpi_day(SimDay day,
                   std::span<const telemetry::CellDayRecord> rows) override;
+
+  // Cuts the KPI feed back to its first `rows` rows (all from days up to
+  // `day`) and returns them, every byte checked against the CRCs recorded
+  // when it was written. nullopt when the durable feed is missing, damaged
+  // or disagrees with the checkpoint; the run then starts fresh.
+  [[nodiscard]] std::optional<std::vector<telemetry::CellDayRecord>>
+  resume_kpis(SimDay day, std::uint64_t rows) override;
 
   // Writes every non-streamed feed plus the manifest and closes all files.
   // KPI rows not already streamed through on_kpi_day() are written from
@@ -87,8 +104,9 @@ struct StoreRunOptions {
 // The run is crash-safe (docs/RECOVERY.md): a digest-keyed day-granular
 // checkpoint (store/checkpoint.h) rides in `dir`, so a killed or
 // interrupted run re-invoked with the same config and dir resumes at the
-// first incomplete day and produces a byte-identical store. The checkpoint
-// is removed once the manifest publishes.
+// first incomplete day, taking its KPI rows back from the feed's durable
+// prefix, and produces a byte-identical store. The checkpoint is removed
+// once the manifest publishes.
 [[nodiscard]] sim::Dataset simulate_to_store(const sim::ScenarioConfig& config,
                                              const std::string& dir);
 [[nodiscard]] sim::Dataset simulate_to_store(const sim::ScenarioConfig& config,

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -41,6 +42,74 @@ int fstat_retry_eintr(int fd, struct stat* st) {
   }
 }
 
+// The open-shard record sync() writes ("CSFO"): magic, version, the shard
+// index (a u64 count, then footer-layout entries), the open shard's length
+// and bytes, and a CRC32C over all of it.
+constexpr std::uint32_t kOpenRecordMagic = 0x4f465343;  // "CSFO"
+constexpr std::uint32_t kOpenRecordVersion = 1;
+
+std::vector<std::uint8_t> file_header() {
+  std::vector<std::uint8_t> header;
+  put_u32(header, kFileMagic);
+  header.push_back(static_cast<std::uint8_t>(kFormatVersion & 0xff));
+  header.push_back(static_cast<std::uint8_t>(kFormatVersion >> 8));
+  header.push_back(0);
+  header.push_back(0);
+  return header;
+}
+
+void put_index_entry(std::vector<std::uint8_t>& out, const ShardIndexEntry& e) {
+  put_u64(out, e.offset);
+  put_u64(out, e.length);
+  put_u64(out, e.rows);
+  put_u64(out, static_cast<std::uint64_t>(e.min_day));
+  put_u64(out, static_cast<std::uint64_t>(e.max_day));
+  put_u32(out, e.crc);
+  put_u32(out, 0);
+}
+
+ShardIndexEntry read_index_entry(const std::uint8_t* e) {
+  ShardIndexEntry entry;
+  entry.offset = read_u64(e);
+  entry.length = read_u64(e + 8);
+  entry.rows = read_u64(e + 16);
+  entry.min_day = static_cast<std::int64_t>(read_u64(e + 24));
+  entry.max_day = static_cast<std::int64_t>(read_u64(e + 32));
+  entry.crc = read_u32(e + 40);
+  return entry;
+}
+
+// Lays `view` over the `length` bytes of one shard whose CRC already
+// matched. Returns why the layout is inconsistent, or nullptr when sound.
+const char* parse_shard(const std::uint8_t* shard, std::uint64_t length,
+                        ShardView& view) {
+  if (length < kShardHeaderBytes) return "shard shorter than its header";
+  if (read_u32(shard) != kShardMagic) return "bad shard magic";
+  const std::uint32_t ncols = read_u32(shard + 4);
+  const std::size_t dir_end = kShardHeaderBytes + ncols * kColumnDirEntryBytes;
+  if (ncols == 0 || dir_end > length) return "column directory exceeds shard";
+  view.rows = read_u64(shard + 8);
+  view.min_day = static_cast<std::int64_t>(read_u64(shard + 16));
+  view.max_day = static_cast<std::int64_t>(read_u64(shard + 24));
+  view.columns.clear();
+  std::uint64_t payload_offset = dir_end;
+  for (std::uint32_t c = 0; c < ncols; ++c) {
+    const std::uint8_t* d = shard + kShardHeaderBytes + c * kColumnDirEntryBytes;
+    ColumnView column;
+    if (d[0] > static_cast<std::uint8_t>(Encoding::kBytes))
+      return "column payload layout inconsistent";
+    column.encoding = static_cast<Encoding>(d[0]);
+    column.bytes = read_u64(d + 8);
+    if (column.bytes > length - payload_offset)
+      return "column payload layout inconsistent";
+    column.data = shard + payload_offset;
+    payload_offset += column.bytes;
+    view.columns.push_back(column);
+  }
+  if (payload_offset != length) return "column payload layout inconsistent";
+  return nullptr;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- writer
@@ -49,33 +118,60 @@ FeedFileWriter::FeedFileWriter(const std::string& path,
                                std::vector<Encoding> schema,
                                std::size_t max_rows_per_shard)
     : path_(path), max_rows_per_shard_(max_rows_per_shard) {
-  if (schema.empty())
-    throw std::runtime_error("store: feed schema needs at least one column");
-  if (max_rows_per_shard_ == 0) max_rows_per_shard_ = 1;
-  columns_.reserve(schema.size());
-  for (const auto encoding : schema) columns_.push_back({encoding, {}, 0});
-
+  set_schema(schema);
   // Stream into the scratch name; close() publishes with fsync + rename.
+  ::unlink((path_ + kOpenRecordSuffix).c_str());
   const std::string tmp = path_ + kTmpSuffix;
   fd_ = open_retry_eintr(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
   if (fd_ < 0)
     throw std::runtime_error("store: cannot create " + tmp + ": " +
                              std::strerror(errno));
-  std::vector<std::uint8_t> header;
-  put_u32(header, kFileMagic);
-  header.push_back(static_cast<std::uint8_t>(kFormatVersion & 0xff));
-  header.push_back(static_cast<std::uint8_t>(kFormatVersion >> 8));
-  header.push_back(0);
-  header.push_back(0);
+  const auto header = file_header();
   write_all(header.data(), header.size());
+}
+
+FeedFileWriter::FeedFileWriter(const std::string& path,
+                               std::vector<Encoding> schema,
+                               std::span<const ShardIndexEntry> keep,
+                               std::size_t max_rows_per_shard)
+    : path_(path), max_rows_per_shard_(max_rows_per_shard) {
+  set_schema(schema);
+  const std::string tmp = path_ + kTmpSuffix;
+  fd_ = open_retry_eintr(tmp.c_str(), O_WRONLY);
+  if (fd_ < 0)
+    throw std::runtime_error("store: cannot reopen " + tmp + ": " +
+                             std::strerror(errno));
+  index_.assign(keep.begin(), keep.end());
+  file_offset_ = kFileHeaderBytes;
+  for (const ShardIndexEntry& e : index_) {
+    rows_written_ += e.rows;
+    file_offset_ = e.offset + e.length;
+  }
+  synced_offset_ = file_offset_;
+  // Kept from here on: the prefix is durable, and the bytes past it are
+  // cut by the first sync(), once a record no longer points at them.
+  synced_ = true;
+  truncate_on_sync_ = true;
+  if (::lseek(fd_, static_cast<off_t>(file_offset_), SEEK_SET) < 0)
+    throw std::runtime_error("store: cannot seek " + tmp + ": " +
+                             std::strerror(errno));
+}
+
+void FeedFileWriter::set_schema(const std::vector<Encoding>& schema) {
+  if (schema.empty())
+    throw std::runtime_error("store: feed schema needs at least one column");
+  if (max_rows_per_shard_ == 0) max_rows_per_shard_ = 1;
+  columns_.reserve(schema.size());
+  for (const auto encoding : schema) columns_.push_back({encoding, {}, 0});
 }
 
 FeedFileWriter::~FeedFileWriter() {
   if (!closed_ && fd_ >= 0) {
     // Abandoned writer (unwound without close()): nothing is published.
-    // Drop the scratch file; a SIGKILLed process leaves it for the sweep.
+    // A synced scratch file is a resumable prefix (recover()) and stays;
+    // otherwise drop it. A SIGKILLed process leaves it for the sweep.
     ::close(fd_);
-    ::unlink((path_ + kTmpSuffix).c_str());
+    if (!synced_) ::unlink((path_ + kTmpSuffix).c_str());
   }
 }
 
@@ -131,9 +227,7 @@ void FeedFileWriter::end_row(std::int64_t day) {
   if (rows_in_shard_ >= max_rows_per_shard_) flush_shard();
 }
 
-void FeedFileWriter::flush_shard() {
-  if (rows_in_shard_ == 0) return;
-
+std::vector<std::uint8_t> FeedFileWriter::encode_shard() const {
   std::vector<std::uint8_t> shard;
   std::size_t payload_bytes = 0;
   for (const Column& c : columns_) payload_bytes += c.payload.size();
@@ -149,8 +243,16 @@ void FeedFileWriter::flush_shard() {
     for (int i = 0; i < 7; ++i) shard.push_back(0);
     put_u64(shard, c.payload.size());
   }
-  for (Column& c : columns_) {
+  for (const Column& c : columns_)
     shard.insert(shard.end(), c.payload.begin(), c.payload.end());
+  return shard;
+}
+
+void FeedFileWriter::flush_shard() {
+  if (rows_in_shard_ == 0) return;
+
+  const std::vector<std::uint8_t> shard = encode_shard();
+  for (Column& c : columns_) {
     c.payload.clear();
     c.prev = 0;  // each shard is self-contained
   }
@@ -168,21 +270,107 @@ void FeedFileWriter::flush_shard() {
   rows_in_shard_ = 0;
 }
 
+void FeedFileWriter::sync() {
+  // The shards first: the record published below points at them.
+  if (file_offset_ != synced_offset_) {
+    if (::fdatasync(fd_) != 0)
+      throw std::runtime_error("store: fdatasync failed for " + path_ +
+                               kTmpSuffix + ": " + std::strerror(errno));
+    synced_offset_ = file_offset_;
+  }
+  std::vector<std::uint8_t> record;
+  put_u32(record, kOpenRecordMagic);
+  put_u32(record, kOpenRecordVersion);
+  put_u64(record, index_.size());
+  for (const ShardIndexEntry& e : index_) put_index_entry(record, e);
+  if (rows_in_shard_ == 0) {
+    put_u64(record, 0);
+  } else {
+    const std::vector<std::uint8_t> open = encode_shard();
+    put_u64(record, open.size());
+    record.insert(record.end(), open.begin(), open.end());
+  }
+  put_u32(record, crc32c(record.data(), record.size()));
+  write_file_atomic(path_ + kOpenRecordSuffix, record.data(), record.size());
+  synced_ = true;
+  if (truncate_on_sync_) {
+    // A resumed writer's scratch file may run on past the kept prefix; no
+    // record names those bytes any more, so they can go.
+    if (::ftruncate(fd_, static_cast<off_t>(file_offset_)) != 0)
+      throw std::runtime_error("store: ftruncate failed for " + path_ +
+                               kTmpSuffix + ": " + std::strerror(errno));
+    truncate_on_sync_ = false;
+  }
+}
+
+std::optional<PendingFeed> FeedFileWriter::recover(const std::string& path,
+                                                   std::uint64_t rows) {
+  PendingFeed feed;
+  if (!read_file(path + kOpenRecordSuffix, feed.record) ||
+      !read_file(path + kTmpSuffix, feed.data))
+    return std::nullopt;
+
+  // The record: every length is checked in subtraction form against the
+  // bytes left, then the CRC over everything before it.
+  const std::vector<std::uint8_t>& r = feed.record;
+  const std::uint8_t* p = r.data();
+  if (r.size() < 16 + 8 + 4 || read_u32(p) != kOpenRecordMagic ||
+      read_u32(p + 4) != kOpenRecordVersion)
+    return std::nullopt;
+  const std::uint64_t count = read_u64(p + 8);
+  std::uint64_t off = 16;
+  if (count > (r.size() - off - 8 - 4) / kFooterEntryBytes)
+    return std::nullopt;
+  const std::uint64_t entries_off = off;
+  off += count * kFooterEntryBytes;
+  const std::uint64_t open_len = read_u64(p + off);
+  off += 8;
+  if (r.size() - off - 4 != open_len) return std::nullopt;
+  const std::uint64_t crc_off = off + open_len;
+  if (crc32c(p, crc_off) != read_u32(p + crc_off)) return std::nullopt;
+
+  // The scratch file: its header, then the flushed shards the prefix
+  // needs, each contiguous with the last and matching its recorded CRC.
+  const std::vector<std::uint8_t> header = file_header();
+  if (feed.data.size() < header.size() ||
+      !std::equal(header.begin(), header.end(), feed.data.begin()))
+    return std::nullopt;
+  std::uint64_t covered = 0;
+  std::uint64_t next_offset = kFileHeaderBytes;
+  for (std::uint64_t s = 0; s < count && covered < rows; ++s) {
+    const ShardIndexEntry e =
+        read_index_entry(p + entries_off + s * kFooterEntryBytes);
+    ShardView view;
+    if (e.offset != next_offset || e.length > feed.data.size() - e.offset ||
+        crc32c(feed.data.data() + e.offset, e.length) != e.crc ||
+        parse_shard(feed.data.data() + e.offset, e.length, view) != nullptr ||
+        view.rows != e.rows)
+      return std::nullopt;
+    covered += e.rows;
+    next_offset = e.offset + e.length;
+    feed.index.push_back(e);
+    feed.shards.push_back(std::move(view));
+  }
+  if (covered < rows) {
+    // The rest must come from the open shard, which follows every flushed
+    // one; the record's CRC already covered its bytes.
+    ShardView view;
+    if (feed.index.size() != count || open_len == 0 ||
+        parse_shard(p + off, open_len, view) != nullptr ||
+        view.rows < rows - covered)
+      return std::nullopt;
+    feed.shards.push_back(std::move(view));
+  }
+  return feed;
+}
+
 std::uint64_t FeedFileWriter::close() {
   if (closed_) return file_offset_;
   flush_shard();
 
   std::vector<std::uint8_t> body;
   put_u64(body, index_.size());
-  for (const ShardIndexEntry& e : index_) {
-    put_u64(body, e.offset);
-    put_u64(body, e.length);
-    put_u64(body, e.rows);
-    put_u64(body, static_cast<std::uint64_t>(e.min_day));
-    put_u64(body, static_cast<std::uint64_t>(e.max_day));
-    put_u32(body, e.crc);
-    put_u32(body, 0);
-  }
+  for (const ShardIndexEntry& e : index_) put_index_entry(body, e);
   std::vector<std::uint8_t> tail;
   put_u64(tail, body.size());
   put_u32(tail, crc32c(body.data(), body.size()));
@@ -191,7 +379,13 @@ std::uint64_t FeedFileWriter::close() {
   write_all(body.data(), body.size());
   write_all(tail.data(), tail.size());
   closed_ = true;
+  if (truncate_on_sync_ &&
+      ::ftruncate(fd_, static_cast<off_t>(file_offset_)) != 0)
+    throw std::runtime_error("store: ftruncate failed for " + path_ +
+                             kTmpSuffix + ": " + std::strerror(errno));
   publish_file_atomic(fd_, path_ + kTmpSuffix, path_);
+  // Published: the open-shard record describes nothing any more.
+  if (synced_) ::unlink((path_ + kOpenRecordSuffix).c_str());
   const int rc = ::close(fd_);
   fd_ = -1;
   // EINTR from close is success on Linux: the fd is already released, and
@@ -320,14 +514,8 @@ void FeedFileReader::validate(const std::string& path) {
   status_ = Status::kOk;
   const std::uint64_t data_end = size_ - kTailBytes - body_len;
   for (std::uint64_t s = 0; s < shard_count; ++s) {
-    const std::uint8_t* e = body + 8 + s * kFooterEntryBytes;
-    ShardIndexEntry entry;
-    entry.offset = read_u64(e);
-    entry.length = read_u64(e + 8);
-    entry.rows = read_u64(e + 16);
-    entry.min_day = static_cast<std::int64_t>(read_u64(e + 24));
-    entry.max_day = static_cast<std::int64_t>(read_u64(e + 32));
-    entry.crc = read_u32(e + 40);
+    const ShardIndexEntry entry =
+        read_index_entry(body + 8 + s * kFooterEntryBytes);
 
     const auto quarantine = [&](const std::string& why) {
       ++quarantined_;
@@ -347,52 +535,16 @@ void FeedFileReader::validate(const std::string& path) {
     }
     // CRC passed: structural fields should agree with the footer; treat
     // any disagreement as corruption anyway (defense in depth).
-    if (read_u32(shard) != kShardMagic) {
-      quarantine("bad shard magic");
+    ShardView view;
+    if (const char* why = parse_shard(shard, entry.length, view)) {
+      quarantine(why);
       continue;
     }
-    const std::uint32_t ncols = read_u32(shard + 4);
-    const std::uint64_t rows = read_u64(shard + 8);
-    if (rows != entry.rows) {
+    if (view.rows != entry.rows) {
       quarantine("row count disagrees with footer");
       continue;
     }
-    const std::size_t dir_end =
-        kShardHeaderBytes + ncols * kColumnDirEntryBytes;
-    if (ncols == 0 || dir_end > entry.length) {
-      quarantine("column directory exceeds shard");
-      continue;
-    }
-    ShardView view;
-    view.rows = rows;
-    view.min_day = static_cast<std::int64_t>(read_u64(shard + 16));
-    view.max_day = static_cast<std::int64_t>(read_u64(shard + 24));
-    std::uint64_t payload_offset = dir_end;
-    bool ok = true;
-    for (std::uint32_t c = 0; c < ncols; ++c) {
-      const std::uint8_t* d = shard + kShardHeaderBytes +
-                              c * kColumnDirEntryBytes;
-      ColumnView column;
-      const std::uint8_t encoding = d[0];
-      if (encoding > static_cast<std::uint8_t>(Encoding::kBytes)) {
-        ok = false;
-        break;
-      }
-      column.encoding = static_cast<Encoding>(encoding);
-      column.bytes = read_u64(d + 8);
-      if (column.bytes > entry.length - payload_offset) {
-        ok = false;
-        break;
-      }
-      column.data = shard + payload_offset;
-      payload_offset += column.bytes;
-      view.columns.push_back(column);
-    }
-    if (!ok || payload_offset != entry.length) {
-      quarantine("column payload layout inconsistent");
-      continue;
-    }
-    total_rows_ += rows;
+    total_rows_ += view.rows;
     shards_.push_back(std::move(view));
   }
 }

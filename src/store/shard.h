@@ -7,6 +7,14 @@
 // encoders and flush as a shard every `max_rows_per_shard` rows, so a feed
 // of millions of rows never holds more than one shard's worth in RAM.
 //
+// A streaming writer can also make its rows durable before it publishes:
+// sync() fdatasyncs the shards flushed so far and records the open shard
+// and the shard index in a small CRC'd sidecar next to the scratch file.
+// FeedFileWriter::recover() reads that pair back after a crash and hands
+// out a verified row prefix, and the resume constructor reopens the
+// scratch file at the end of it, so an interrupted stream continues where
+// it stopped and publishes the same bytes an uninterrupted one would.
+//
 // One FeedFileReader memory-maps a feed file and validates it back to
 // front: tail magic, footer checksum, then a per-shard CRC over the mapped
 // bytes. Shards that fail validation are *quarantined* — counted, reported
@@ -18,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,6 +35,13 @@
 
 namespace cellscope::store {
 
+struct PendingFeed;
+
+// Appended to a feed's final path to name the open-shard record sync()
+// writes (the scratch file itself is `path + kTmpSuffix`). Both end in
+// ".tmp": neither is ever a published file.
+inline constexpr const char* kOpenRecordSuffix = ".open.tmp";
+
 // -------------------------------------------------------------- writing
 
 class FeedFileWriter {
@@ -33,10 +49,19 @@ class FeedFileWriter {
   // Opens `path + ".tmp"` (truncating) and writes the file header there;
   // close() fsyncs and atomically renames the temp file onto `path`, so a
   // crashed writer never leaves a partial file at the published name —
-  // only `.tmp` litter the next run sweeps (common/atomic_file.h).
+  // only `.tmp` litter the next run sweeps (common/atomic_file.h). An
+  // open-shard record left at `path` by an earlier writer is removed: it
+  // describes bytes this writer is about to overwrite.
   // `schema` fixes the column count and encodings for every shard of this
   // file. Throws std::runtime_error when the file cannot be opened.
   FeedFileWriter(const std::string& path, std::vector<Encoding> schema,
+                 std::size_t max_rows_per_shard = kDefaultRowsPerShard);
+  // Resumes a synced writer: reopens `path + ".tmp"` and continues after
+  // `keep`, a leading run of the shards recover() verified. The rows after
+  // those shards are the caller's to append again; the next sync() records
+  // the new state and then cuts the scratch file back to it.
+  FeedFileWriter(const std::string& path, std::vector<Encoding> schema,
+                 std::span<const ShardIndexEntry> keep,
                  std::size_t max_rows_per_shard = kDefaultRowsPerShard);
   ~FeedFileWriter();
 
@@ -58,11 +83,27 @@ class FeedFileWriter {
   // Encodes buffered rows as one shard now (no-op with zero rows).
   void flush_shard();
 
+  // Makes every row appended so far durable without publishing the file:
+  // fdatasyncs the flushed shards, then atomically rewrites the open-shard
+  // record (`path + kOpenRecordSuffix`): the index of the flushed shards
+  // plus the open shard, encoded exactly as flush_shard() would write it,
+  // under one CRC32C. Costs one open shard of bytes, never the whole feed.
+  // Throws std::runtime_error on I/O failure.
+  void sync();
+
+  // Reads back what sync() left at `path` and returns the shards covering
+  // its first `rows` rows, every one checked against its recorded CRC and
+  // shard layout. nullopt when either file is missing, torn or damaged
+  // where the prefix needs it, or holds fewer rows.
+  [[nodiscard]] static std::optional<PendingFeed> recover(
+      const std::string& path, std::uint64_t rows);
+
   // Flushes, writes the footer, fsyncs and renames the temp file onto its
   // final path. Returns the final file size in bytes. This is the ONLY way
   // a feed file gets published: a writer destroyed without close() (stack
-  // unwind, interrupt) discards its temp file and leaves any previously
-  // published file untouched. Throws std::runtime_error on write failure.
+  // unwind, interrupt) leaves any previously published file untouched, and
+  // discards its temp file unless sync() made it a resumable prefix. Also
+  // removes the open-shard record. Throws std::runtime_error on failure.
   std::uint64_t close();
 
   [[nodiscard]] std::uint64_t rows_written() const { return rows_written_; }
@@ -89,9 +130,15 @@ class FeedFileWriter {
   std::int64_t max_day_ = 0;
   std::uint64_t file_offset_ = 0;
   std::vector<ShardIndexEntry> index_;
+  std::uint64_t synced_offset_ = 0;  // file_offset_ at the last fdatasync
+  bool synced_ = false;              // sync() ran: the scratch file is kept
+  bool truncate_on_sync_ = false;    // resumed: cut stale bytes at sync()
   bool closed_ = false;
 
+  void set_schema(const std::vector<Encoding>& schema);
   void write_all(const std::uint8_t* data, std::size_t n);
+  // The buffered rows as one shard's bytes (header, directory, payloads).
+  [[nodiscard]] std::vector<std::uint8_t> encode_shard() const;
 };
 
 // -------------------------------------------------------------- reading
@@ -107,6 +154,20 @@ struct ShardView {
   std::int64_t min_day = 0;
   std::int64_t max_day = 0;
   std::vector<ColumnView> columns;
+};
+
+// A synced, unpublished feed as FeedFileWriter::recover() found it: the
+// leading shards that cover a requested row prefix, each checked against
+// the CRC its writer recorded. `shards` views into `data` (the scratch
+// file) and, for an open shard, into `record`; the vectors own the bytes,
+// so the views stay valid when this struct is moved.
+struct PendingFeed {
+  std::vector<std::uint8_t> data;
+  std::vector<std::uint8_t> record;
+  // Index entries of the flushed shards in `shards` (the open shard, when
+  // it is needed, comes last in `shards` and has no entry).
+  std::vector<ShardIndexEntry> index;
+  std::vector<ShardView> shards;
 };
 
 // Sequential decoder over one column of one shard. All reads are

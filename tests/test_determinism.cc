@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <span>
 #include <string>
 #include <utility>
@@ -21,11 +22,13 @@
 #include "sim/dataset_audit.h"
 #include "sim/simulator.h"
 #include "support/dataset_compare.h"
+#include "support/memory_sink.h"
 
 namespace cellscope::sim {
 namespace {
 
 using testsupport::expect_datasets_identical;
+using testsupport::MemoryDatasetSink;
 
 // Small scale, small chunks: many chunks per day and (at 8 workers) more
 // workers than chunks in flight, so the reorder window actually reorders.
@@ -166,7 +169,9 @@ TEST(DeterminismContract, RejectsBadChunkSize) {
 // run, at any worker count on either side of the interruption. An
 // in-memory sink records every day's blob from one full run; each test
 // primes a fresh sink with one of those blobs and lets a second run
-// fast-forward from it.
+// fast-forward from it. The KPI rows are not in the blobs: a
+// MemoryDatasetSink holding the full run's rows gives the committed prefix
+// back, as the store's scratch feed does after a crash past the checkpoint.
 class MemoryCheckpoint final : public CheckpointSink {
  public:
   [[nodiscard]] std::span<const std::uint8_t> resume_payload()
@@ -200,6 +205,7 @@ class MemoryCheckpoint final : public CheckpointSink {
 struct RecordedRun {
   Dataset dataset;
   MemoryCheckpoint checkpoints;
+  MemoryDatasetSink rows;
 };
 const RecordedRun& recorded_reference() {
   static const RecordedRun* run = [] {
@@ -207,21 +213,26 @@ const RecordedRun& recorded_reference() {
     auto config = matrix_config();
     config.worker_threads = 1;
     Simulator simulator{config};
-    r->dataset = simulator.run(nullptr, &r->checkpoints);
+    r->dataset = simulator.run(&r->rows, &r->checkpoints);
     return r;
   }();
   return *run;
 }
 
-Dataset resume_from(const MemoryCheckpoint& recorder, std::size_t index,
-                    int workers, bool audit = false) {
+Dataset resume_from(const RecordedRun& full, std::size_t index, int workers,
+                    bool audit = false) {
   MemoryCheckpoint source;
-  source.prime(recorder.saved()[index].first, recorder.saved()[index].second);
+  const auto& saved = full.checkpoints.saved();
+  source.prime(saved[index].first, saved[index].second);
+  MemoryDatasetSink rows = full.rows;
   auto config = matrix_config();
   config.worker_threads = workers;
   config.audit = audit;
   Simulator simulator{config};
-  return simulator.run(nullptr, &source);
+  Dataset resumed = simulator.run(&rows, &source);
+  // The sink ends up holding the uninterrupted run's rows again.
+  EXPECT_EQ(rows.rows().size(), full.rows.rows().size());
+  return resumed;
 }
 
 class ResumeMatrix : public ::testing::TestWithParam<int> {};
@@ -231,8 +242,7 @@ TEST_P(ResumeMatrix, ResumedRunBitIdenticalToUninterrupted) {
   ASSERT_GT(full.checkpoints.saved().size(), 3u);
   EXPECT_FALSE(full.dataset.recovery.resumed);
   const std::size_t mid = full.checkpoints.saved().size() / 2;
-  const Dataset resumed =
-      resume_from(full.checkpoints, mid, GetParam());
+  const Dataset resumed = resume_from(full, mid, GetParam());
   EXPECT_TRUE(resumed.recovery.resumed);
   EXPECT_EQ(resumed.recovery.resumed_from_day,
             full.checkpoints.saved()[mid].first);
@@ -254,7 +264,7 @@ TEST(CheckpointResume, BoundaryDaysResumeBitIdentical) {
   for (const std::size_t index : {std::size_t{0}, saved.size() - 2}) {
     SCOPED_TRACE("resumed after day " +
                  std::to_string(saved[index].first));
-    const Dataset resumed = resume_from(full.checkpoints, index, 2);
+    const Dataset resumed = resume_from(full, index, 2);
     expect_datasets_identical(full.dataset, resumed);
   }
 }
@@ -269,10 +279,11 @@ TEST(CheckpointResume, ResumedCheckpointsByteIdenticalToFullRuns) {
   const std::size_t mid = saved.size() / 2;
   MemoryCheckpoint source;
   source.prime(saved[mid].first, saved[mid].second);
+  MemoryDatasetSink rows = full.rows;
   auto config = matrix_config();
   config.worker_threads = 2;
   Simulator simulator{config};
-  (void)simulator.run(nullptr, &source);
+  (void)simulator.run(&rows, &source);
   ASSERT_EQ(source.saved().size(), saved.size() - mid - 1);
   for (std::size_t i = 0; i < source.saved().size(); ++i) {
     EXPECT_EQ(source.saved()[i].first, saved[mid + 1 + i].first);
@@ -296,8 +307,9 @@ TEST(CheckpointResume, FaultedResumeBitIdenticalIncludingQualityLedger) {
   config.faults.kpi_record_duplication_rate = 0.005;
   config.worker_threads = 1;
   MemoryCheckpoint recorder;
+  MemoryDatasetSink rows;
   Simulator full_sim{config};
-  const Dataset full = full_sim.run(nullptr, &recorder);
+  const Dataset full = full_sim.run(&rows, &recorder);
   ASSERT_FALSE(full.quality.empty());
   ASSERT_GT(recorder.saved().size(), 2u);
 
@@ -306,7 +318,7 @@ TEST(CheckpointResume, FaultedResumeBitIdenticalIncludingQualityLedger) {
   source.prime(recorder.saved()[mid].first, recorder.saved()[mid].second);
   config.worker_threads = 3;
   Simulator resumed_sim{config};
-  const Dataset resumed = resumed_sim.run(nullptr, &source);
+  const Dataset resumed = resumed_sim.run(&rows, &source);
   expect_datasets_identical(full, resumed);
 }
 
@@ -316,12 +328,157 @@ TEST(CheckpointResume, FaultedResumeBitIdenticalIncludingQualityLedger) {
 TEST(CheckpointResume, ResumedRunPassesCheckpointConsistencyLaw) {
   const RecordedRun& full = recorded_reference();
   const std::size_t mid = full.checkpoints.saved().size() / 2;
-  const Dataset resumed =
-      resume_from(full.checkpoints, mid, 2, /*audit=*/true);
+  const Dataset resumed = resume_from(full, mid, 2, /*audit=*/true);
   EXPECT_GT(resumed.audit_report.checks_for("checkpoint-consistency"), 0u);
   EXPECT_TRUE(resumed.audit_report.clean());
   const audit::AuditReport fresh = audit_dataset(full.dataset);
   EXPECT_EQ(fresh.checks_for("checkpoint-consistency"), 0u);
+}
+
+// A checkpoint is O(state): it carries how many KPI rows were committed,
+// never the rows. Collecting the legacy RATs' KPIs too multiplies the row
+// count and leaves every other piece of state the same size, so two runs
+// that differ only in that switch must checkpoint equally large blobs day
+// for day. Serialising the rows (about 100 bytes each) would split them
+// by hundreds of kilobytes.
+TEST(CheckpointResume, BlobSizeDoesNotGrowWithKpiRows) {
+  struct Run {
+    MemoryCheckpoint checkpoints;
+    MemoryDatasetSink rows;
+  };
+  const auto record = [](bool legacy, Run& run) {
+    ScenarioConfig config = default_scenario();
+    config.num_users = 600;
+    config.seed = 11;
+    config.collect_legacy_kpis = legacy;
+    Simulator simulator{config};
+    (void)simulator.run(&run.rows, &run.checkpoints);
+  };
+  Run lte, all_rats;
+  record(false, lte);
+  record(true, all_rats);
+  const auto& a = lte.checkpoints.saved();
+  const auto& b = all_rats.checkpoints.saved();
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_GT(all_rats.rows.rows().size(), lte.rows.rows().size() + 5'000);
+  const auto rows_through = [](const MemoryDatasetSink& sink, SimDay day) {
+    std::size_t n = 0;
+    for (const auto& r : sink.rows()) n += r.day <= day ? 1 : 0;
+    return n;
+  };
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const SimDay day = a[i].first;
+    const auto extra_rows =
+        rows_through(all_rats.rows, day) - rows_through(lte.rows, day);
+    const auto size_a = static_cast<std::int64_t>(a[i].second.size());
+    const auto size_b = static_cast<std::int64_t>(b[i].second.size());
+    // Varint-coded counters may differ in length by a few bytes.
+    EXPECT_LT(std::abs(size_b - size_a), 256)
+        << "day " << day << ": " << extra_rows << " more KPI rows";
+  }
+}
+
+// A resume whose DatasetSink cannot hand back the committed rows (here: it
+// never saw them) ignores the checkpoint and reruns from the first day,
+// ending exactly where the uninterrupted run ends.
+TEST(CheckpointResume, SinkWithoutTheCommittedRowsStartsFresh) {
+  const RecordedRun& full = recorded_reference();
+  const auto& saved = full.checkpoints.saved();
+  const std::size_t last = saved.size() - 2;
+  MemoryCheckpoint source;
+  source.prime(saved[last].first, saved[last].second);
+  MemoryDatasetSink empty;
+  auto config = matrix_config();
+  config.worker_threads = 2;
+  Simulator simulator{config};
+  const Dataset rerun = simulator.run(&empty, &source);
+  EXPECT_FALSE(rerun.recovery.resumed);
+  expect_datasets_identical(full.dataset, rerun);
+}
+
+// Without a sink, or with one that keeps no rows, there is nothing to
+// resume the KPI feed from: that is a programming error, not a fresh run.
+TEST(CheckpointResume, ResumeNeedsASinkThatCanResume) {
+  const RecordedRun& full = recorded_reference();
+  const auto& saved = full.checkpoints.saved();
+  struct Forgetful final : DatasetSink {
+    void on_kpi_day(SimDay, std::span<const telemetry::CellDayRecord>)
+        override {}
+  } forgetful;
+  for (DatasetSink* sink : {static_cast<DatasetSink*>(nullptr),
+                            static_cast<DatasetSink*>(&forgetful)}) {
+    MemoryCheckpoint source;
+    source.prime(saved.back().first, saved.back().second);
+    Simulator simulator{matrix_config()};
+    EXPECT_THROW((void)simulator.run(sink, &source), std::logic_error);
+  }
+}
+
+// The checkpoint record's CRC only proves the bytes are the ones written;
+// a record crafted with a valid CRC can still claim any count. Every count
+// that sizes a container is bounded by the bytes left, so such a record
+// throws BlobError instead of length_error or bad_alloc.
+TEST(CheckpointResume, CraftedCountsThrowBlobError) {
+  ScenarioConfig config = matrix_config();
+  config.num_users = 300;
+  Dataset substrate;
+  build_substrate(config, substrate);
+  const std::size_t n_users = substrate.population->subscribers.size();
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 62;
+  // Version, user count, committed KPI rows, per-user flags, no appended
+  // places, then whether homes are final.
+  const auto prelude = [&](bool homes_final) {
+    BlobWriter w;
+    w.u64(2);
+    w.u64(n_users);
+    w.u64(0);
+    for (std::size_t i = 0; i < n_users; ++i) w.u8(0);
+    w.u64(0);
+    w.u8(homes_final ? 1 : 0);
+    return w;
+  };
+  // The run-local scalars that close the simulator's part of the blob.
+  const auto scalars = [](BlobWriter& w) {
+    w.f64(0.0);
+    w.u8(0);
+    w.f64(0.0);
+    w.f64(0.0);
+  };
+  std::vector<std::pair<std::string, BlobWriter>> records;
+  {
+    BlobWriter w = prelude(false);
+    w.u64(kHuge);  // home-detector users
+    records.emplace_back("detector users", std::move(w));
+  }
+  {
+    BlobWriter w = prelude(false);
+    w.u64(1);
+    w.u32(0);
+    w.u32(1);
+    w.i64(config.first_day());
+    w.u64(kHuge);  // that user's night sites
+    records.emplace_back("detector sites", std::move(w));
+  }
+  {
+    BlobWriter w = prelude(true);
+    scalars(w);
+    w.u64(kHuge);  // homes
+    records.emplace_back("homes", std::move(w));
+  }
+  {
+    BlobWriter w = prelude(true);
+    scalars(w);
+    w.u64(0);
+    w.u64(kHuge);  // validation points
+    records.emplace_back("validation points", std::move(w));
+  }
+  for (auto& [what, w] : records) {
+    MemoryCheckpoint source;
+    source.prime(config.first_day(), w.take());
+    MemoryDatasetSink rows;
+    Simulator simulator{config};
+    EXPECT_THROW((void)simulator.run(&rows, &source), BlobError) << what;
+  }
 }
 
 }  // namespace

@@ -7,11 +7,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/atomic_file.h"
 #include "store/format.h"
 #include "store/shard.h"
 
@@ -226,6 +229,94 @@ TEST(ShardFile, RoundTripsLengthFramedBlobs) {
     ASSERT_TRUE(cursor.next_bytes(static_cast<std::size_t>(len), data));
     EXPECT_EQ(std::string(reinterpret_cast<const char*>(data), len), name);
   }
+}
+
+// sync() makes a stream resumable: recover() hands back any row prefix
+// as verified shards, the resume constructor continues after the whole
+// shards among them, and the finished file is byte-identical to one
+// written in a single pass — whether the prefix ends inside a flushed
+// shard, on a shard boundary, or inside the open shard.
+TEST(ShardFile, SyncedPrefixRecoversAndResumesByteIdentical) {
+  const std::vector<Encoding> schema = {Encoding::kDeltaZigzagVarint,
+                                        Encoding::kRaw64};
+  constexpr std::size_t kRowsPerShard = 4;
+  constexpr int kRows = 11;
+  const auto put_row = [](FeedFileWriter& w, int i) {
+    w.i64(0, i / 3);
+    w.f64(1, i * 0.5);
+    w.end_row(i / 3);
+  };
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in{path, std::ios::binary};
+    return std::vector<char>{std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>()};
+  };
+  const std::string ref = temp_path("sync_ref.csf");
+  {
+    FeedFileWriter writer{ref, schema, kRowsPerShard};
+    for (int i = 0; i < kRows; ++i) put_row(writer, i);
+    writer.close();
+  }
+
+  for (std::uint64_t prefix = 0; prefix <= 10; ++prefix) {
+    SCOPED_TRACE("prefix " + std::to_string(prefix));
+    const std::string path = temp_path("sync.csf");
+    {
+      // Abandoned after a sync at row 10: a crash past the checkpoint.
+      FeedFileWriter writer{path, schema, kRowsPerShard};
+      for (int i = 0; i < 10; ++i) put_row(writer, i);
+      writer.sync();
+    }
+    ASSERT_TRUE(std::filesystem::exists(path + kTmpSuffix));
+    const auto pending = FeedFileWriter::recover(path, prefix);
+    ASSERT_TRUE(pending.has_value());
+    std::uint64_t covered = 0;
+    for (const auto& shard : pending->shards) covered += shard.rows;
+    EXPECT_GE(covered, prefix);
+    std::size_t whole = 0;
+    std::uint64_t kept = 0;
+    while (whole < pending->index.size() &&
+           kept + pending->index[whole].rows <= prefix)
+      kept += pending->index[whole++].rows;
+    {
+      FeedFileWriter writer{
+          path, schema,
+          std::span<const ShardIndexEntry>{pending->index.data(), whole},
+          kRowsPerShard};
+      EXPECT_EQ(writer.rows_written(), kept);
+      for (int i = static_cast<int>(kept); i < static_cast<int>(prefix); ++i)
+        put_row(writer, i);
+      writer.sync();
+      for (int i = static_cast<int>(prefix); i < kRows; ++i)
+        put_row(writer, i);
+      writer.close();
+    }
+    EXPECT_EQ(slurp(path), slurp(ref));
+    EXPECT_FALSE(std::filesystem::exists(path + kOpenRecordSuffix));
+  }
+  // More rows than were ever synced is no prefix at all.
+  {
+    const std::string path = temp_path("sync_short.csf");
+    {
+      FeedFileWriter writer{path, schema, kRowsPerShard};
+      for (int i = 0; i < 5; ++i) put_row(writer, i);
+      writer.sync();
+    }
+    EXPECT_FALSE(FeedFileWriter::recover(path, 6).has_value());
+    EXPECT_TRUE(FeedFileWriter::recover(path, 5).has_value());
+  }
+}
+
+// A writer never synced still drops its scratch file when abandoned.
+TEST(ShardFile, UnsyncedWriterLeavesNoScratchFile) {
+  const std::string path = temp_path("unsynced.csf");
+  {
+    FeedFileWriter writer{path, {Encoding::kVarint}};
+    writer.u64(0, 1);
+    writer.end_row(0);
+  }
+  EXPECT_FALSE(std::filesystem::exists(path + kTmpSuffix));
+  EXPECT_FALSE(FeedFileWriter::recover(path, 0).has_value());
 }
 
 TEST(ShardFile, EmptyFeedIsValidWithZeroShards) {

@@ -448,5 +448,41 @@ TEST(CraftedFeed, ColumnLengthWrappingThePayloadIsQuarantined) {
   std::filesystem::remove(path);
 }
 
+// ------------------------------------------------- crafted checkpoints
+//
+// A checkpoint record claiming a payload of 2^64 - 1 bytes: the length
+// check must not wrap. Added as `payload_len + 4` it wraps to 3, the CRC
+// would be read from the last byte of the length field plus three more,
+// and the payload range would run backwards. The high-water mark is
+// varied until the CRC over everything but that last byte ends in 0xFF,
+// then its top three bytes are appended, so the wrapped reading checks
+// out; the loader must still read it as no resumable state.
+TEST(CraftedCheckpoint, PayloadLengthWrappingTheRecordReadsAsFresh) {
+  const std::string dir = ::testing::TempDir() + "crafted_checkpoint";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string digest = "digest-a";
+  std::vector<std::uint8_t> bytes;
+  for (std::uint64_t hwm = 0;; ++hwm) {
+    bytes.clear();
+    put_u32(bytes, 0x54504b43);  // "CKPT"
+    put_u32(bytes, 1);
+    put_u32(bytes, static_cast<std::uint32_t>(digest.size()));
+    bytes.insert(bytes.end(), digest.begin(), digest.end());
+    put_u64(bytes, hwm);
+    put_u64(bytes, ~std::uint64_t{0});
+    const std::uint32_t crc = crc32c(bytes.data(), bytes.size() - 1);
+    if ((crc & 0xff) != 0xff) continue;
+    for (int i = 1; i < 4; ++i)
+      bytes.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+    break;
+  }
+  write_bytes(dir + "/checkpoint.ckpt", bytes);
+
+  CheckpointManager m{dir, digest};
+  EXPECT_TRUE(m.resume_payload().empty());
+  EXPECT_EQ(m.resume_day(), -1);
+}
+
 }  // namespace
 }  // namespace cellscope::store

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/runtime.h"
 #include "obs/timeline.h"
@@ -64,6 +65,40 @@ TEST_F(TimelineTest, SlopeIgnoresFallbackSamplesAndDegenerateSeries) {
   std::vector<TimelineSample> stacked{day_sample(4, 100), day_sample(4, 200)};
   EXPECT_TRUE(std::isfinite(rss_slope_kb_per_day(stacked)));
   EXPECT_DOUBLE_EQ(rss_slope_kb_per_day(stacked), 0.0);
+}
+
+// The checkpoint-cost fit the manifest reports: the same least-squares
+// line as the RSS slope, over checkpoint_ms, fallback samples excluded.
+// The latest payload size rides next to it and reset() clears it.
+TEST_F(TimelineTest, CheckpointSlopeAndLastBytesFeedTheManifestSummary) {
+  std::vector<TimelineSample> samples;
+  for (std::int64_t d = 0; d < 10; ++d) {
+    TimelineSample s = day_sample(d, 0);
+    s.checkpoint_ms = 3.0 + 0.5 * static_cast<double>(d);
+    samples.push_back(s);
+  }
+  TimelineSample fallback = day_sample(-1, 0);
+  fallback.checkpoint_ms = 1e6;
+  samples.push_back(fallback);
+  EXPECT_DOUBLE_EQ(checkpoint_slope_ms_per_day(samples), 0.5);
+  for (auto& s : samples) s.checkpoint_ms = 7.0;  // O(state): flat
+  EXPECT_DOUBLE_EQ(checkpoint_slope_ms_per_day(samples), 0.0);
+
+  timeline().record_checkpoint_bytes(141736);
+  EXPECT_EQ(timeline().last_checkpoint_bytes(), 141736u);
+  timeline().reset();
+  EXPECT_EQ(timeline().last_checkpoint_bytes(), 0u);
+
+  RunManifest manifest;
+  manifest.timeline.samples = 10;
+  manifest.timeline.checkpoint_slope_ms_per_day = 0.5;
+  manifest.timeline.checkpoint_last_bytes = 141736;
+  std::ostringstream out;
+  write_manifest_json(out, manifest);
+  EXPECT_NE(out.str().find("\"checkpoint_slope_ms_per_day\": 0.5"),
+            std::string::npos);
+  EXPECT_NE(out.str().find("\"checkpoint_last_bytes\": 141736"),
+            std::string::npos);
 }
 
 TEST_F(TimelineTest, SteadyRssIsMedianOfSecondHalf) {
