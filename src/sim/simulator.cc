@@ -143,6 +143,30 @@ void build_substrate(const ScenarioConfig& config, Dataset& ds) {
   ds.policy = std::make_unique<mobility::PolicyTimeline>(config.policy);
 }
 
+void init_series(const ScenarioConfig& config, Dataset& ds) {
+  const SimDay first_day = config.first_day();
+  const SimDay last_day = config.last_day();
+  const auto grouped = [&](int groups) {
+    return analysis::GroupedDailySeries{static_cast<std::size_t>(groups),
+                                        first_day, last_day};
+  };
+  ds.entropy_national = grouped(1);
+  ds.gyration_national = grouped(1);
+  ds.entropy_by_region = grouped(geo::kRegionCount);
+  ds.gyration_by_region = grouped(geo::kRegionCount);
+  ds.entropy_by_cluster = grouped(geo::kOacClusterCount);
+  ds.gyration_by_cluster = grouped(geo::kOacClusterCount);
+  if (config.collect_binned_mobility) {
+    ds.entropy_by_bin = grouped(kFourHourBinsPerDay);
+    ds.gyration_by_bin = grouped(kFourHourBinsPerDay);
+  }
+  ds.offnet_busy_hour_minutes = DailySeries{first_day, last_day};
+  ds.interconnect_busy_hour_loss_pct = DailySeries{first_day, last_day};
+  ds.roamers_active = DailySeries{first_day, last_day};
+  ds.gyration_distribution = analysis::DistributionSeries{first_day, last_day};
+  ds.entropy_distribution = analysis::DistributionSeries{first_day, last_day};
+}
+
 Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
   config_.validate();
 
@@ -246,17 +270,7 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
     return resolved[place_index];
   };
 
-  // Mobility aggregates.
-  ds.entropy_national = analysis::GroupedDailySeries{1, first_day, last_day};
-  ds.gyration_national = analysis::GroupedDailySeries{1, first_day, last_day};
-  ds.entropy_by_region = analysis::GroupedDailySeries{
-      static_cast<std::size_t>(geo::kRegionCount), first_day, last_day};
-  ds.gyration_by_region = analysis::GroupedDailySeries{
-      static_cast<std::size_t>(geo::kRegionCount), first_day, last_day};
-  ds.entropy_by_cluster = analysis::GroupedDailySeries{
-      static_cast<std::size_t>(geo::kOacClusterCount), first_day, last_day};
-  ds.gyration_by_cluster = analysis::GroupedDailySeries{
-      static_cast<std::size_t>(geo::kOacClusterCount), first_day, last_day};
+  init_series(config_, ds);
 
   // Home detection runs over the warm-up and closes when week 9 opens, so
   // that the Fig 7 matrix can track detected residents from the baseline
@@ -282,17 +296,6 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
   double week9_busy_hour_minutes = 0.0;
   bool interconnect_calibrated = false;
 
-  ds.offnet_busy_hour_minutes = DailySeries{first_day, last_day};
-  ds.interconnect_busy_hour_loss_pct = DailySeries{first_day, last_day};
-  ds.roamers_active = DailySeries{first_day, last_day};
-  ds.gyration_distribution = analysis::DistributionSeries{first_day, last_day};
-  ds.entropy_distribution = analysis::DistributionSeries{first_day, last_day};
-  if (config_.collect_binned_mobility) {
-    ds.entropy_by_bin = analysis::GroupedDailySeries{
-        static_cast<std::size_t>(kFourHourBinsPerDay), first_day, last_day};
-    ds.gyration_by_bin = analysis::GroupedDailySeries{
-        static_cast<std::size_t>(kFourHourBinsPerDay), first_day, last_day};
-  }
   double lte_hours = 0.0;
   double legacy_hours = 0.0;
 

@@ -177,6 +177,11 @@ class DatasetSink {
 // serializing it.
 void build_substrate(const ScenarioConfig& config, Dataset& ds);
 
+// Sizes every daily series, grouped series and distribution band of `ds`
+// to the config's day window, empty. The simulator accumulates into them;
+// the store's read_dataset() restores stored days into them.
+void init_series(const ScenarioConfig& config, Dataset& ds);
+
 class Simulator {
  public:
   explicit Simulator(ScenarioConfig config);

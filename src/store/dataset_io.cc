@@ -12,11 +12,10 @@
 #include <utility>
 
 #include "common/atomic_file.h"
-#include "geo/admin.h"
-#include "geo/oac.h"
 #include "obs/runtime.h"
 #include "store/checkpoint.h"
 #include "store/feeds.h"
+#include "store/handle.h"
 #include "store/scan.h"
 #include "store/shard.h"
 
@@ -391,105 +390,113 @@ sim::Dataset simulate_to_store(const sim::ScenarioConfig& config,
 
 // ----------------------------------------------------------------- reader
 
-std::string stored_digest(const std::string& dir) {
-  std::ifstream manifest(dir + "/" + kManifestFile, std::ios::binary);
-  if (!manifest) return "";
-  std::string line;
-  if (!std::getline(manifest, line) || line != "cellstore-v1") return "";
-  while (std::getline(manifest, line)) {
-    if (line.rfind("digest=", 0) == 0) return line.substr(7);
-  }
-  return "";
-}
-
 namespace {
 
-// Cursors over one shard, one per column.
-struct ShardCursors {
-  explicit ShardCursors(const ShardView& shard) {
-    cursors.reserve(shard.columns.size());
-    for (const auto& column : shard.columns) cursors.emplace_back(column);
-  }
-  std::vector<ColumnCursor> cursors;
-  ColumnCursor& operator[](std::size_t i) { return cursors[i]; }
+// store.manifest, parsed once for every reader of it.
+struct Manifest {
+  std::string digest;
+  std::vector<std::string> feeds;
+  // The writer's physical accounting; absent in stores that predate it.
+  std::optional<std::uint64_t> rows;
+  std::optional<std::uint64_t> bytes;
 };
 
-// Per-feed load driver: opens the feed, accounts bytes/quarantines into the
-// outcome, and hands each valid shard to `decode`, which must return false
-// (without side effects on the dataset) when a row fails to decode — the
-// shard is then quarantined rather than half-applied.
-class FeedLoader {
- public:
-  FeedLoader(const std::string& dir, ReadOutcome& out) : dir_(dir), out_(out) {}
-
-  template <typename DecodeShard>
-  void load(const std::string& feed, std::size_t expected_columns,
-            DecodeShard&& decode) {
-    FeedFileReader reader{feed_path(dir_, feed)};
-    for (const auto& entry : reader.quarantine_log())
-      out_.quarantine_log.push_back(entry);
-    if (reader.status() != FeedFileReader::Status::kOk) {
-      // The whole feed is unreadable: one quarantine unit, zero rows.
-      ++out_.shards_quarantined;
-      out_.quarantine_log.push_back(feed + ": " + reader.error());
-      return;
-    }
-    out_.bytes_read += reader.file_bytes();
-    out_.shards_quarantined += reader.quarantined_shards();
-    for (const auto& shard : reader.shards()) {
-      if (shard.columns.size() != expected_columns || !decode(shard)) {
-        ++out_.shards_quarantined;
-        out_.quarantine_log.push_back(feed + ": shard failed row decode");
-        continue;
+// nullopt when the manifest is missing or not cellstore-v1.
+std::optional<Manifest> read_manifest(const std::string& dir) {
+  std::ifstream in(dir + "/" + kManifestFile, std::ios::binary);
+  std::string line;
+  if (!in || !std::getline(in, line) || line != "cellstore-v1")
+    return std::nullopt;
+  Manifest m;
+  bool have_digest = false;
+  while (std::getline(in, line)) {
+    if (line.rfind("digest=", 0) == 0) {
+      if (!have_digest) m.digest = line.substr(7);
+      have_digest = true;
+    } else if (line.rfind("feeds=", 0) == 0) {
+      std::string_view list{line};
+      list.remove_prefix(6);
+      while (!list.empty()) {
+        const std::size_t comma = list.find(',');
+        if (comma != 0) m.feeds.emplace_back(list.substr(0, comma));
+        if (comma == std::string_view::npos) break;
+        list.remove_prefix(comma + 1);
       }
-      out_.rows_read += shard.rows;
+    } else if (line.rfind("rows=", 0) == 0) {
+      m.rows = std::strtoull(line.c_str() + 5, nullptr, 10);
+    } else if (line.rfind("bytes=", 0) == 0) {
+      m.bytes = std::strtoull(line.c_str() + 6, nullptr, 10);
     }
   }
+  return m;
+}
 
- private:
-  const std::string& dir_;
-  ReadOutcome& out_;
-};
+// One batch per whole shard, so the checks below can reject a shard
+// all-or-nothing.
+ScanOptions whole_shards() {
+  ScanOptions options;
+  options.batch_rows = std::numeric_limits<std::size_t>::max();
+  return options;
+}
 
-// Decodes one KPI shard into `rows` (cleared first). Returns false — with
-// no partial output consumed — on any row that fails to decode, so callers
-// quarantine the shard instead of applying half of it.
-bool decode_kpi_shard(const ShardView& shard,
-                      std::vector<telemetry::CellDayRecord>& rows) {
-  ShardCursors c{shard};
-  rows.clear();
-  rows.reserve(shard.rows);
-  for (std::uint64_t i = 0; i < shard.rows; ++i) {
-    std::int64_t day = 0, cell = 0;
-    if (!c[0].next_i64(day) || !c[1].next_i64(cell)) return false;
-    if (cell < 0 || day < std::numeric_limits<SimDay>::min() ||
-        day > std::numeric_limits<SimDay>::max())
+// The one KPI row decode: a whole-shard batch of every kpis column into
+// `rows`. False when a row holds a negative cell or a day outside SimDay:
+// the caller then rejects the shard whole.
+bool decode_kpi_rows(const ScanBatch& batch,
+                     std::vector<telemetry::CellDayRecord>& rows) {
+  const auto days = batch.column(0).i64;
+  const auto cells = batch.column(1).i64;
+  const std::size_t n = batch.rows();
+  for (std::size_t i = 0; i < n; ++i)
+    if (cells[i] < 0 || days[i] < std::numeric_limits<SimDay>::min() ||
+        days[i] > std::numeric_limits<SimDay>::max())
       return false;
-    telemetry::CellDayRecord r;
-    r.day = static_cast<SimDay>(day);
-    r.cell = CellId{static_cast<std::uint32_t>(cell)};
-    std::array<double, telemetry::kKpiMetricCount> values{};
-    for (int m = 0; m < telemetry::kKpiMetricCount; ++m)
-      if (!c[static_cast<std::size_t>(2 + m)].next_f64(
-              values[static_cast<std::size_t>(m)]))
-        return false;
-    r.dl_volume_mb = values[0];
-    r.ul_volume_mb = values[1];
-    r.active_dl_users = values[2];
-    r.tti_utilization = values[3];
-    r.user_dl_throughput_mbps = values[4];
-    r.active_data_seconds = values[5];
-    r.connected_users = values[6];
-    r.voice_volume_mb = values[7];
-    r.simultaneous_voice_users = values[8];
-    r.voice_dl_loss_pct = values[9];
-    r.voice_ul_loss_pct = values[10];
-    rows.push_back(r);
+  rows.resize(n);  // every field is written below
+  for (std::size_t i = 0; i < n; ++i) {
+    rows[i].day = static_cast<SimDay>(days[i]);
+    rows[i].cell = CellId{static_cast<std::uint32_t>(cells[i])};
+  }
+  for (int m = 0; m < telemetry::kKpiMetricCount; ++m) {
+    const auto metric = static_cast<telemetry::KpiMetric>(m);
+    const auto values = batch.column(kpi_metric_column(metric)).f64;
+    for (std::size_t i = 0; i < n; ++i)
+      rows[i].*telemetry::kKpiFields[m] = values[i];
   }
   return true;
 }
 
+// Reads `feed` one whole shard per batch and hands each batch to `apply`,
+// which returns false — leaving the dataset untouched — to reject a shard
+// that fails a semantic check. Rejected shards count as quarantined next
+// to the scanner's own; only applied shards count as rows read.
+template <typename Apply>
+void load_feed(const StoreHandle& store, std::string_view feed,
+               ReadOutcome& out, Apply&& apply) {
+  FeedScanner scanner =
+      FeedScanner::open(store, feed_schema(feed), whole_shards());
+  ScanBatch batch;
+  while (scanner.next(batch)) {
+    if (apply(batch)) {
+      out.rows_read += batch.rows();
+      continue;
+    }
+    ++out.shards_quarantined;
+    out.quarantine_log.push_back(std::string(feed) +
+                                 ": shard failed row checks");
+  }
+  if (scanner.ok()) out.bytes_read += scanner.totals().bytes_file;
+  out.shards_quarantined += scanner.totals().shards_quarantined;
+  out.quarantine_log.insert(out.quarantine_log.end(),
+                            scanner.quarantine_log().begin(),
+                            scanner.quarantine_log().end());
+}
+
 }  // namespace
+
+std::string stored_digest(const std::string& dir) {
+  const auto manifest = read_manifest(dir);
+  return manifest ? manifest->digest : "";
+}
 
 std::optional<std::vector<telemetry::CellDayRecord>> DatasetWriter::resume_kpis(
     SimDay day, std::uint64_t rows) {
@@ -506,11 +513,13 @@ std::optional<std::vector<telemetry::CellDayRecord>> DatasetWriter::resume_kpis(
   std::vector<telemetry::CellDayRecord> out;
   out.reserve(rows);
   std::vector<telemetry::CellDayRecord> shard_rows;
-  std::size_t whole_shards = 0;  // flushed shards entirely inside the prefix
-  for (const ShardView& shard : pending->shards) {
-    if (out.size() == rows) break;
-    if (shard.columns.size() != feed_schema("kpis").size() ||
-        !decode_kpi_shard(shard, shard_rows))
+  std::size_t kept_shards = 0;  // flushed shards entirely inside the prefix
+  FeedScanner scanner{std::span<const ShardView>{pending->shards},
+                      feed_schema("kpis"), whole_shards()};
+  ScanBatch batch;
+  while (out.size() < rows && scanner.next(batch)) {
+    if (scanner.totals().shards_quarantined > 0 ||
+        !decode_kpi_rows(batch, shard_rows))
       return std::nullopt;
     const std::size_t take = std::min<std::size_t>(shard_rows.size(),
                                                    rows - out.size());
@@ -518,17 +527,16 @@ std::optional<std::vector<telemetry::CellDayRecord>> DatasetWriter::resume_kpis(
                shard_rows.begin() + static_cast<std::ptrdiff_t>(take));
     if (take < shard_rows.size() && shard_rows[take].day <= day)
       return std::nullopt;
-    if (take == shard_rows.size() && whole_shards < pending->index.size())
-      ++whole_shards;
+    if (take == shard_rows.size() && kept_shards < pending->index.size())
+      ++kept_shards;
   }
-  if (out.size() != rows || (!out.empty() && out.back().day > day))
-    return std::nullopt;
+  if (out.size() != rows || out.back().day > day) return std::nullopt;
 
   // Reopen after the whole shards and buffer the rest again; sync()
   // records that state, then cuts whatever followed it on disk.
   impl_->kpis = std::make_unique<FeedFileWriter>(
       path, feed_schema("kpis").encodings(),
-      std::span<const ShardIndexEntry>{pending->index.data(), whole_shards});
+      std::span<const ShardIndexEntry>{pending->index.data(), kept_shards});
   for (std::size_t i = static_cast<std::size_t>(impl_->kpis->rows_written());
        i < out.size(); ++i)
     write_kpi_row(*impl_->kpis, out[i]);
@@ -540,46 +548,24 @@ std::optional<std::vector<telemetry::CellDayRecord>> DatasetWriter::resume_kpis(
 ScanStats scan_kpis(
     const std::string& dir,
     const std::function<void(const telemetry::CellDayRecord&)>& row) {
-  // Single pass over the feed file via the vectorized scanner: each shard
-  // is decoded exactly once into reusable batches (the scanner also keeps
-  // the health timeline alive at its shard safe points).
+  // Single pass over the feed file via the scanner: each shard is decoded
+  // exactly once, and a shard failing the KPI row checks is skipped whole,
+  // as read_dataset skips it.
   ScanStats stats;
-  ScanOptions options;
-  options.batch_rows = FeedFileWriter::kDefaultRowsPerShard;
   FeedScanner scanner =
-      FeedScanner::open(dir, feed_schema("kpis"), std::move(options));
+      FeedScanner::open(dir, feed_schema("kpis"), whole_shards());
   ScanBatch batch;
-  bool semantic_damage = false;
+  std::vector<telemetry::CellDayRecord> rows;
   while (scanner.next(batch)) {
-    const auto days = batch.column(0).i64;
-    const auto cells = batch.column(1).i64;
-    for (std::size_t i = 0; i < batch.rows(); ++i) {
-      if (cells[i] < 0 || days[i] < std::numeric_limits<SimDay>::min() ||
-          days[i] > std::numeric_limits<SimDay>::max()) {
-        semantic_damage = true;
-        continue;
-      }
-      telemetry::CellDayRecord r;
-      r.day = static_cast<SimDay>(days[i]);
-      r.cell = CellId{static_cast<std::uint32_t>(cells[i])};
-      r.dl_volume_mb = batch.column(2).f64[i];
-      r.ul_volume_mb = batch.column(3).f64[i];
-      r.active_dl_users = batch.column(4).f64[i];
-      r.tti_utilization = batch.column(5).f64[i];
-      r.user_dl_throughput_mbps = batch.column(6).f64[i];
-      r.active_data_seconds = batch.column(7).f64[i];
-      r.connected_users = batch.column(8).f64[i];
-      r.voice_volume_mb = batch.column(9).f64[i];
-      r.simultaneous_voice_users = batch.column(10).f64[i];
-      r.voice_dl_loss_pct = batch.column(11).f64[i];
-      r.voice_ul_loss_pct = batch.column(12).f64[i];
-      row(r);
-      ++stats.rows;
+    if (!decode_kpi_rows(batch, rows)) {
+      ++stats.shards_quarantined;
+      continue;
     }
+    for (const auto& r : rows) row(r);
+    stats.rows += rows.size();
   }
   stats.bytes = scanner.totals().bytes_file;
-  stats.shards_quarantined =
-      scanner.totals().shards_quarantined + (semantic_damage ? 1 : 0);
+  stats.shards_quarantined += scanner.totals().shards_quarantined;
   if (obs::enabled()) {
     auto& registry = obs::metrics();
     registry.add("store.bytes_read", stats.bytes);
@@ -611,49 +597,20 @@ ReadOutcome read_dataset(const std::string& dir,
   sim::Dataset ds;
   ds.config = config;
   sim::build_substrate(config, ds);
+  sim::init_series(config, ds);
 
-  const SimDay first_day = config.first_day();
-  const SimDay last_day = config.last_day();
-  ds.entropy_national = analysis::GroupedDailySeries{1, first_day, last_day};
-  ds.gyration_national = analysis::GroupedDailySeries{1, first_day, last_day};
-  ds.entropy_by_region = analysis::GroupedDailySeries{
-      static_cast<std::size_t>(geo::kRegionCount), first_day, last_day};
-  ds.gyration_by_region = analysis::GroupedDailySeries{
-      static_cast<std::size_t>(geo::kRegionCount), first_day, last_day};
-  ds.entropy_by_cluster = analysis::GroupedDailySeries{
-      static_cast<std::size_t>(geo::kOacClusterCount), first_day, last_day};
-  ds.gyration_by_cluster = analysis::GroupedDailySeries{
-      static_cast<std::size_t>(geo::kOacClusterCount), first_day, last_day};
-  if (config.collect_binned_mobility) {
-    ds.entropy_by_bin = analysis::GroupedDailySeries{
-        static_cast<std::size_t>(kFourHourBinsPerDay), first_day, last_day};
-    ds.gyration_by_bin = analysis::GroupedDailySeries{
-        static_cast<std::size_t>(kFourHourBinsPerDay), first_day, last_day};
-  }
-  ds.offnet_busy_hour_minutes = DailySeries{first_day, last_day};
-  ds.interconnect_busy_hour_loss_pct = DailySeries{first_day, last_day};
-  ds.roamers_active = DailySeries{first_day, last_day};
-  ds.gyration_distribution =
-      analysis::DistributionSeries{first_day, last_day};
-  ds.entropy_distribution = analysis::DistributionSeries{first_day, last_day};
-
-  FeedLoader loader{dir, out};
+  const StoreHandle store{dir, dataset_feeds()};
 
   // Scalars first: they carry the matrix shape and the expected row counts
   // that make silent truncation detectable.
   std::map<std::uint64_t, std::pair<double, std::uint64_t>> scalars;
-  loader.load("scalars", feed_schema("scalars").size(), [&](const ShardView& shard) {
-    ShardCursors c{shard};
-    std::map<std::uint64_t, std::pair<double, std::uint64_t>> rows;
-    for (std::uint64_t i = 0; i < shard.rows; ++i) {
-      std::uint64_t id = 0, uvalue = 0;
-      double fvalue = 0.0;
-      if (!c[0].next_u64(id) || !c[1].next_f64(fvalue) ||
-          !c[2].next_u64(uvalue))
-        return false;
-      rows[id] = {fvalue, uvalue};
-    }
-    for (const auto& [id, value] : rows) scalars[id] = value;
+  load_feed(store, "scalars", out, [&](const ScanBatch& b) {
+    const auto ids = b.column(0).i64;
+    const auto fvalues = b.column(1).f64;
+    const auto uvalues = b.column(2).i64;
+    for (std::size_t i = 0; i < b.rows(); ++i)
+      scalars[static_cast<std::uint64_t>(ids[i])] = {
+          fvalues[i], static_cast<std::uint64_t>(uvalues[i])};
     return true;
   });
   const auto scalar_f = [&](ScalarId id) {
@@ -673,14 +630,24 @@ ReadOutcome read_dataset(const std::string& dir,
   ds.home_validation.fit.r_squared = scalar_f(kFitRSquared);
   ds.home_validation.fit.n = scalar_u(kFitN);
   ds.home_validation.expected_market_share = scalar_f(kExpectedMarketShare);
+  // The matrix is sized by its stored shape, so the shape must describe
+  // this run — as restore_dataset_state requires of a checkpoint.
   const std::size_t county_count = ds.geography->counties().size();
-  if (scalar_u(kLondonPresent) != 0 &&
-      scalar_u(kLondonHomeCounty) < county_count) {
-    ds.london_matrix = std::make_unique<analysis::MobilityMatrix>(
-        *ds.geography,
-        CountyId{static_cast<std::uint32_t>(scalar_u(kLondonHomeCounty))},
-        static_cast<SimDay>(scalar_u(kMatrixFirstDay)),
-        static_cast<SimDay>(scalar_u(kMatrixLastDay)));
+  bool matrix_ok = true;
+  if (scalar_u(kLondonPresent) != 0) {
+    const auto first = static_cast<std::int64_t>(scalar_u(kMatrixFirstDay));
+    const auto last = static_cast<std::int64_t>(scalar_u(kMatrixLastDay));
+    matrix_ok = scalar_u(kLondonHomeCounty) < county_count && first <= last &&
+                first >= config.first_day() && last <= config.last_day();
+    if (matrix_ok) {
+      ds.london_matrix = std::make_unique<analysis::MobilityMatrix>(
+          *ds.geography,
+          CountyId{static_cast<std::uint32_t>(scalar_u(kLondonHomeCounty))},
+          static_cast<SimDay>(first), static_cast<SimDay>(last));
+    } else {
+      out.quarantine_log.push_back(
+          "scalars: London matrix shape outside the run");
+    }
   }
 
   // KPI rows, re-grouped into per-day add_day() batches. A quarantined
@@ -690,6 +657,7 @@ ReadOutcome read_dataset(const std::string& dir,
   std::uint64_t kpi_rows_applied = 0;
   std::uint64_t kpi_rows_dropped = 0;
   {
+    std::vector<telemetry::CellDayRecord> shard_rows;
     std::vector<telemetry::CellDayRecord> day_batch;
     SimDay last_flushed = std::numeric_limits<SimDay>::min();
     const auto flush = [&] {
@@ -699,10 +667,9 @@ ReadOutcome read_dataset(const std::string& dir,
       ds.kpis.add_day(std::move(day_batch));
       day_batch = {};
     };
-    loader.load("kpis", feed_schema("kpis").size(), [&](const ShardView& shard) {
-      std::vector<telemetry::CellDayRecord> rows;
-      if (!decode_kpi_shard(shard, rows)) return false;
-      for (const auto& r : rows) {
+    load_feed(store, "kpis", out, [&](const ScanBatch& b) {
+      if (!decode_kpi_rows(b, shard_rows)) return false;
+      for (const auto& r : shard_rows) {
         if (!day_batch.empty() && r.day != day_batch.front().day) flush();
         if (day_batch.empty() && r.day <= last_flushed) {
           ++kpi_rows_dropped;  // out-of-order remnant of a quarantined gap
@@ -716,113 +683,77 @@ ReadOutcome read_dataset(const std::string& dir,
   }
 
   {
-    SimDay last_signaling_day = std::numeric_limits<SimDay>::min();
-    bool any_signaling = false;
-    loader.load("signaling", feed_schema("signaling").size(),
-                [&](const ShardView& shard) {
-      ShardCursors c{shard};
-      std::vector<telemetry::DailySignalingCounts> rows;
-      rows.reserve(shard.rows);
-      for (std::uint64_t i = 0; i < shard.rows; ++i) {
-        std::int64_t day = 0;
-        if (!c[0].next_i64(day)) return false;
+    // The probe's day list is chronological by construction; skip any
+    // out-of-order remnant a quarantined shard left behind.
+    std::optional<SimDay> last_day;
+    load_feed(store, "signaling", out, [&](const ScanBatch& b) {
+      for (std::size_t i = 0; i < b.rows(); ++i) {
         telemetry::DailySignalingCounts counts;
-        counts.day = static_cast<SimDay>(day);
-        for (int t = 0; t < traffic::kSignalingEventTypeCount; ++t) {
-          if (!c[static_cast<std::size_t>(1 + 2 * t)].next_u64(
-                  counts.total[t]) ||
-              !c[static_cast<std::size_t>(2 + 2 * t)].next_u64(
-                  counts.failures[t]))
-            return false;
+        counts.day = static_cast<SimDay>(b.column(0).i64[i]);
+        for (std::size_t t = 0; t < counts.total.size(); ++t) {
+          counts.total[t] =
+              static_cast<std::uint64_t>(b.column(1 + 2 * t).i64[i]);
+          counts.failures[t] =
+              static_cast<std::uint64_t>(b.column(2 + 2 * t).i64[i]);
         }
-        rows.push_back(counts);
-      }
-      for (const auto& counts : rows) {
-        // The probe's day list is chronological by construction; skip any
-        // out-of-order remnant a quarantined shard left behind.
-        if (any_signaling && counts.day <= last_signaling_day) continue;
+        if (last_day && counts.day <= *last_day) continue;
         ds.signaling.restore_day(counts);
-        last_signaling_day = counts.day;
-        any_signaling = true;
+        last_day = counts.day;
       }
       return true;
     });
   }
 
   {
-    SimDay last_voice_day = std::numeric_limits<SimDay>::min();
-    bool any_voice = false;
-    loader.load("voice", feed_schema("voice").size(), [&](const ShardView& shard) {
-      ShardCursors c{shard};
-      std::vector<traffic::VoiceDayCalls> rows;
-      rows.reserve(shard.rows);
-      for (std::uint64_t i = 0; i < shard.rows; ++i) {
-        std::int64_t day = 0;
+    // Ledger days are chronological by construction, as above.
+    std::optional<SimDay> last_day;
+    load_feed(store, "voice", out, [&](const ScanBatch& b) {
+      for (std::size_t i = 0; i < b.rows(); ++i) {
         traffic::VoiceDayCalls d;
-        if (!c[0].next_i64(day) || !c[1].next_u64(d.attempts) ||
-            !c[2].next_u64(d.completed) || !c[3].next_u64(d.blocked) ||
-            !c[4].next_u64(d.dropped))
-          return false;
-        d.day = static_cast<SimDay>(day);
-        rows.push_back(d);
-      }
-      for (const auto& d : rows) {
-        // Ledger days are chronological by construction; skip any
-        // out-of-order remnant a quarantined shard left behind.
-        if (any_voice && d.day <= last_voice_day) continue;
+        d.day = static_cast<SimDay>(b.column(0).i64[i]);
+        d.attempts = static_cast<std::uint64_t>(b.column(1).i64[i]);
+        d.completed = static_cast<std::uint64_t>(b.column(2).i64[i]);
+        d.blocked = static_cast<std::uint64_t>(b.column(3).i64[i]);
+        d.dropped = static_cast<std::uint64_t>(b.column(4).i64[i]);
+        if (last_day && d.day <= *last_day) continue;
         ds.voice_calls.record_day(d);
-        last_voice_day = d.day;
-        any_voice = true;
+        last_day = d.day;
       }
       return true;
     });
   }
 
-  loader.load("homes", feed_schema("homes").size(), [&](const ShardView& shard) {
-    ShardCursors c{shard};
-    std::vector<analysis::HomeRecord> rows;
-    rows.reserve(shard.rows);
-    for (std::uint64_t i = 0; i < shard.rows; ++i) {
-      std::int64_t user = 0;
-      std::uint64_t site = 0, district = 0, county = 0, nights = 0;
-      double night_hours = 0.0;
-      if (!c[0].next_i64(user) || !c[1].next_u64(site) ||
-          !c[2].next_u64(district) || !c[3].next_u64(county) ||
-          !c[4].next_f64(night_hours) || !c[5].next_u64(nights))
-        return false;
-      if (user < 0) return false;
+  load_feed(store, "homes", out, [&](const ScanBatch& b) {
+    const auto users = b.column(0).i64;
+    if (std::any_of(users.begin(), users.end(),
+                    [](std::int64_t user) { return user < 0; }))
+      return false;
+    for (std::size_t i = 0; i < b.rows(); ++i) {
       analysis::HomeRecord h;
-      h.user = UserId{static_cast<std::uint32_t>(user)};
-      h.home_site = SiteId{static_cast<std::uint32_t>(site)};
-      h.home_district = PostcodeDistrictId{static_cast<std::uint32_t>(district)};
-      h.home_county = CountyId{static_cast<std::uint32_t>(county)};
-      h.night_hours = night_hours;
-      h.nights_observed = static_cast<int>(nights);
-      rows.push_back(h);
+      h.user = UserId{static_cast<std::uint32_t>(users[i])};
+      h.home_site = SiteId{static_cast<std::uint32_t>(b.column(1).i64[i])};
+      h.home_district =
+          PostcodeDistrictId{static_cast<std::uint32_t>(b.column(2).i64[i])};
+      h.home_county = CountyId{static_cast<std::uint32_t>(b.column(3).i64[i])};
+      h.night_hours = b.column(4).f64[i];
+      h.nights_observed = static_cast<int>(b.column(5).i64[i]);
+      ds.homes.push_back(h);
     }
-    ds.homes.insert(ds.homes.end(), rows.begin(), rows.end());
     return true;
   });
 
-  loader.load("validation", feed_schema("validation").size(),
-              [&](const ShardView& shard) {
-    ShardCursors c{shard};
-    std::vector<analysis::LadValidationPoint> rows;
-    rows.reserve(shard.rows);
-    for (std::uint64_t i = 0; i < shard.rows; ++i) {
-      std::int64_t lad = 0, census = 0, inferred = 0;
-      if (!c[0].next_i64(lad) || !c[1].next_i64(census) ||
-          !c[2].next_i64(inferred))
-        return false;
-      if (lad < 0) return false;
+  load_feed(store, "validation", out, [&](const ScanBatch& b) {
+    const auto lads = b.column(0).i64;
+    if (std::any_of(lads.begin(), lads.end(),
+                    [](std::int64_t lad) { return lad < 0; }))
+      return false;
+    for (std::size_t i = 0; i < b.rows(); ++i) {
       analysis::LadValidationPoint p;
-      p.lad = LadId{static_cast<std::uint32_t>(lad)};
-      p.census_population = census;
-      p.inferred_residents = inferred;
-      rows.push_back(p);
+      p.lad = LadId{static_cast<std::uint32_t>(lads[i])};
+      p.census_population = b.column(1).i64[i];
+      p.inferred_residents = b.column(2).i64[i];
+      ds.home_validation.points.push_back(p);
     }
-    ds.home_validation.points.insert(ds.home_validation.points.end(),
-                                     rows.begin(), rows.end());
     return true;
   });
 
@@ -847,91 +778,53 @@ ReadOutcome read_dataset(const std::string& dir,
         default: return nullptr;
       }
     };
-    loader.load("series", feed_schema("series").size(), [&](const ShardView& shard) {
-      ShardCursors c{shard};
-      struct Row {
-        std::uint64_t id, group, count;
-        std::int64_t day;
-        double sum;
-      };
-      std::vector<Row> rows;
-      rows.reserve(shard.rows);
-      for (std::uint64_t i = 0; i < shard.rows; ++i) {
-        Row r{};
-        if (!c[0].next_u64(r.id) || !c[1].next_u64(r.group) ||
-            !c[2].next_i64(r.day) || !c[3].next_f64(r.sum) ||
-            !c[4].next_u64(r.count))
-          return false;
-        rows.push_back(r);
-      }
-      for (const auto& r : rows) {
-        DailySeries* target = series_target(r.id, r.group);
+    load_feed(store, "series", out, [&](const ScanBatch& b) {
+      for (std::size_t i = 0; i < b.rows(); ++i) {
+        DailySeries* target =
+            series_target(static_cast<std::uint64_t>(b.column(0).i64[i]),
+                          static_cast<std::uint64_t>(b.column(1).i64[i]));
         if (target == nullptr) continue;
-        target->restore(static_cast<SimDay>(r.day), r.sum,
-                        static_cast<std::size_t>(r.count));
+        target->restore(static_cast<SimDay>(b.column(2).i64[i]),
+                        b.column(3).f64[i],
+                        static_cast<std::size_t>(b.column(4).i64[i]));
       }
       return true;
     });
   }
 
-  loader.load("distributions", feed_schema("distributions").size(),
-              [&](const ShardView& shard) {
-    ShardCursors c{shard};
-    struct Row {
-      std::uint64_t id;
-      std::int64_t day;
-      stats::Summary summary;
-    };
-    std::vector<Row> rows;
-    rows.reserve(shard.rows);
-    for (std::uint64_t i = 0; i < shard.rows; ++i) {
-      Row r{};
-      std::uint64_t n = 0;
-      if (!c[0].next_u64(r.id) || !c[1].next_i64(r.day) ||
-          !c[2].next_u64(n) || !c[3].next_f64(r.summary.mean) ||
-          !c[4].next_f64(r.summary.p10) || !c[5].next_f64(r.summary.p25) ||
-          !c[6].next_f64(r.summary.median) || !c[7].next_f64(r.summary.p75) ||
-          !c[8].next_f64(r.summary.p90))
-        return false;
-      r.summary.n = static_cast<std::size_t>(n);
-      rows.push_back(r);
-    }
-    for (const auto& r : rows) {
-      auto* target = r.id == kGyrationDist ? &ds.gyration_distribution
-                     : r.id == kEntropyDist ? &ds.entropy_distribution
-                                            : nullptr;
+  load_feed(store, "distributions", out, [&](const ScanBatch& b) {
+    for (std::size_t i = 0; i < b.rows(); ++i) {
+      const auto id = static_cast<std::uint64_t>(b.column(0).i64[i]);
+      auto* target = id == kGyrationDist  ? &ds.gyration_distribution
+                     : id == kEntropyDist ? &ds.entropy_distribution
+                                          : nullptr;
       if (target == nullptr) continue;
-      target->restore_day(static_cast<SimDay>(r.day), r.summary);
+      stats::Summary summary;
+      summary.n = static_cast<std::size_t>(b.column(2).i64[i]);
+      summary.mean = b.column(3).f64[i];
+      summary.p10 = b.column(4).f64[i];
+      summary.p25 = b.column(5).f64[i];
+      summary.median = b.column(6).f64[i];
+      summary.p75 = b.column(7).f64[i];
+      summary.p90 = b.column(8).f64[i];
+      target->restore_day(static_cast<SimDay>(b.column(1).i64[i]), summary);
     }
     return true;
   });
 
-  loader.load("matrix", feed_schema("matrix").size(), [&](const ShardView& shard) {
-    ShardCursors c{shard};
-    struct Row {
-      std::uint64_t kind, county, observations;
-      std::int64_t day;
-      double presence;
-    };
-    std::vector<Row> rows;
-    rows.reserve(shard.rows);
-    for (std::uint64_t i = 0; i < shard.rows; ++i) {
-      Row r{};
-      if (!c[0].next_u64(r.kind) || !c[1].next_u64(r.county) ||
-          !c[2].next_i64(r.day) || !c[3].next_f64(r.presence) ||
-          !c[4].next_u64(r.observations))
-        return false;
-      rows.push_back(r);
-    }
+  load_feed(store, "matrix", out, [&](const ScanBatch& b) {
     if (ds.london_matrix == nullptr) return true;
-    for (const auto& r : rows) {
-      const auto day = static_cast<SimDay>(r.day);
-      if (r.kind == kPresenceRow && r.county < county_count) {
+    for (std::size_t i = 0; i < b.rows(); ++i) {
+      const auto kind = static_cast<std::uint64_t>(b.column(0).i64[i]);
+      const auto county = static_cast<std::uint64_t>(b.column(1).i64[i]);
+      const auto day = static_cast<SimDay>(b.column(2).i64[i]);
+      if (kind == kPresenceRow && county < county_count) {
         ds.london_matrix->restore_presence(
-            CountyId{static_cast<std::uint32_t>(r.county)}, day, r.presence);
-      } else if (r.kind == kObservationsRow) {
+            CountyId{static_cast<std::uint32_t>(county)}, day,
+            b.column(3).f64[i]);
+      } else if (kind == kObservationsRow) {
         ds.london_matrix->restore_observations(
-            day, static_cast<std::size_t>(r.observations));
+            day, static_cast<std::size_t>(b.column(4).i64[i]));
       }
     }
     return true;
@@ -939,46 +832,26 @@ ReadOutcome read_dataset(const std::string& dir,
 
   {
     std::vector<std::string> quality_feed_names;
-    loader.load("quality", feed_schema("quality").size(), [&](const ShardView& shard) {
-      ShardCursors c{shard};
-      struct Row {
-        std::uint64_t kind, a, b, cc, d;
-        std::int64_t day;
-        std::string name;
-      };
-      std::vector<Row> rows;
-      rows.reserve(shard.rows);
-      for (std::uint64_t i = 0; i < shard.rows; ++i) {
-        Row r{};
-        std::uint64_t name_len = 0;
-        if (!c[0].next_u64(r.kind) || !c[1].next_u64(name_len)) return false;
-        if (name_len > 4096) return false;
-        if (name_len > 0) {
-          const std::uint8_t* name = nullptr;
-          if (!c[1].next_bytes(static_cast<std::size_t>(name_len), name))
-            return false;
-          r.name.assign(reinterpret_cast<const char*>(name),
-                        static_cast<std::size_t>(name_len));
-        }
-        if (!c[2].next_i64(r.day) || !c[3].next_u64(r.a) ||
-            !c[4].next_u64(r.b) || !c[5].next_u64(r.cc) ||
-            !c[6].next_u64(r.d))
-          return false;
-        rows.push_back(r);
-      }
-      for (const auto& r : rows) {
-        if (r.kind == kFeedTotalsRow) {
-          telemetry::FeedQuality& f = ds.quality.feed(r.name);
-          f.expected_records = r.a;
-          f.observed_records = r.b;
-          f.quarantined_records = r.cc;
-          f.duplicate_records = r.d;
-          quality_feed_names.push_back(r.name);
-        } else if (r.kind == kFeedDayRow &&
-                   r.a < quality_feed_names.size()) {
-          telemetry::FeedQuality& f =
-              ds.quality.feed(quality_feed_names[r.a]);
-          f.days[static_cast<SimDay>(r.day)] = {r.b, r.cc};
+    load_feed(store, "quality", out, [&](const ScanBatch& b) {
+      const auto names = b.column(1).bytes;
+      if (std::any_of(names.begin(), names.end(),
+                      [](std::string_view name) { return name.size() > 4096; }))
+        return false;
+      for (std::size_t i = 0; i < b.rows(); ++i) {
+        const auto kind = static_cast<std::uint64_t>(b.column(0).i64[i]);
+        const auto a = static_cast<std::uint64_t>(b.column(3).i64[i]);
+        const auto bv = static_cast<std::uint64_t>(b.column(4).i64[i]);
+        const auto c = static_cast<std::uint64_t>(b.column(5).i64[i]);
+        if (kind == kFeedTotalsRow) {
+          telemetry::FeedQuality& f = ds.quality.feed(std::string(names[i]));
+          f.expected_records = a;
+          f.observed_records = bv;
+          f.quarantined_records = c;
+          f.duplicate_records = static_cast<std::uint64_t>(b.column(6).i64[i]);
+          quality_feed_names.emplace_back(names[i]);
+        } else if (kind == kFeedDayRow && a < quality_feed_names.size()) {
+          telemetry::FeedQuality& f = ds.quality.feed(quality_feed_names[a]);
+          f.days[static_cast<SimDay>(b.column(2).i64[i])] = {bv, c};
         }
       }
       return true;
@@ -996,7 +869,7 @@ ReadOutcome read_dataset(const std::string& dir,
         std::to_string(kpi_rows_applied + kpi_rows_dropped) + ")");
   }
   const bool complete =
-      out.shards_quarantined == 0 && kpi_rows_dropped == 0 &&
+      out.shards_quarantined == 0 && matrix_ok && kpi_rows_dropped == 0 &&
       kpi_rows_applied == scalar_u(kKpiRowCount) &&
       ds.homes.size() == scalar_u(kHomeRowCount) &&
       ds.signaling.days().size() == scalar_u(kSignalingDayCount) &&
@@ -1035,52 +908,22 @@ audit::AuditReport audit_store(const std::string& dir) {
   audit::AuditReport report;
   constexpr std::string_view kLaw = "store-reconcile";
 
-  // Parse the manifest ourselves (not just stored_digest) because the audit
-  // needs the feed list and the writer's physical accounting.
-  std::vector<std::string> feeds;
-  bool have_rows = false, have_bytes = false;
-  std::uint64_t manifest_rows = 0, manifest_bytes = 0;
-  {
-    report.add_checks(kLaw);
-    std::ifstream manifest(dir + "/" + kManifestFile, std::ios::binary);
-    std::string line;
-    if (!manifest || !std::getline(manifest, line) ||
-        line != "cellstore-v1") {
-      report.add_violation({std::string(kLaw), dir + "/" + kManifestFile,
-                            0.0, 0.0,
-                            "manifest missing or not cellstore-v1"});
-      return report;
-    }
-    while (std::getline(manifest, line)) {
-      if (line.rfind("feeds=", 0) == 0) {
-        std::string list = line.substr(6);
-        std::size_t start = 0;
-        while (start <= list.size()) {
-          const std::size_t comma = list.find(',', start);
-          const std::size_t end =
-              comma == std::string::npos ? list.size() : comma;
-          if (end > start) feeds.push_back(list.substr(start, end - start));
-          if (comma == std::string::npos) break;
-          start = comma + 1;
-        }
-      } else if (line.rfind("rows=", 0) == 0) {
-        manifest_rows = std::strtoull(line.c_str() + 5, nullptr, 10);
-        have_rows = true;
-      } else if (line.rfind("bytes=", 0) == 0) {
-        manifest_bytes = std::strtoull(line.c_str() + 6, nullptr, 10);
-        have_bytes = true;
-      }
-    }
-    if (feeds.empty()) {
-      report.add_violation({std::string(kLaw), dir + "/" + kManifestFile,
-                            0.0, 0.0, "manifest lists no feeds"});
-      return report;
-    }
+  report.add_checks(kLaw);
+  const auto manifest = read_manifest(dir);
+  if (!manifest) {
+    report.add_violation({std::string(kLaw), dir + "/" + kManifestFile, 0.0,
+                          0.0, "manifest missing or not cellstore-v1"});
+    return report;
+  }
+  if (manifest->feeds.empty()) {
+    report.add_violation({std::string(kLaw), dir + "/" + kManifestFile, 0.0,
+                          0.0, "manifest lists no feeds"});
+    return report;
   }
 
   std::uint64_t rows_read = 0;
   std::uint64_t bytes_read = 0;
-  for (const std::string& feed : feeds) {
+  for (const std::string& feed : manifest->feeds) {
     report.add_checks(kLaw);
     FeedFileReader reader{feed_path(dir, feed)};
     if (reader.status() != FeedFileReader::Status::kOk) {
@@ -1101,20 +944,20 @@ audit::AuditReport audit_store(const std::string& dir) {
   // Writer-side vs reader-side physical totals. Stores written before the
   // accounting lines existed carry no rows=/bytes=; the reconciliation is
   // then unavailable rather than violated.
-  if (have_rows) {
+  if (manifest->rows) {
     report.add_checks(kLaw);
-    if (rows_read != manifest_rows) {
+    if (rows_read != *manifest->rows) {
       report.add_violation({std::string(kLaw), "rows",
-                            static_cast<double>(manifest_rows),
+                            static_cast<double>(*manifest->rows),
                             static_cast<double>(rows_read),
                             "rows read back != rows the writer recorded"});
     }
   }
-  if (have_bytes) {
+  if (manifest->bytes) {
     report.add_checks(kLaw);
-    if (bytes_read != manifest_bytes) {
+    if (bytes_read != *manifest->bytes) {
       report.add_violation({std::string(kLaw), "bytes",
-                            static_cast<double>(manifest_bytes),
+                            static_cast<double>(*manifest->bytes),
                             static_cast<double>(bytes_read),
                             "bytes read back != bytes the writer recorded"});
     }

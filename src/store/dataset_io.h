@@ -15,11 +15,18 @@
 // accumulators verbatim — write-then-read is bitwise identical on every
 // Dataset field (test_store_replay enforces this).
 //
-// Corruption never throws: shards that fail CRC/structural validation (and
-// feed files that are missing or unreadable) are quarantined into the
-// dataset's telemetry/quality ledger under the "store" feed, the intact
-// remainder is loaded, and the outcome is marked kDegraded — partial data
-// is never silently served as complete (load_or_run re-simulates instead).
+// Every read here goes through the scan engine (scan.h), the one decoder
+// of CSF1 feeds: read_dataset scans each feed one whole shard per batch and
+// maps the rows onto the Dataset, scan_kpis streams the KPI feed, and
+// resume_kpis scans a recovered prefix's shards. The KPI rows of all three
+// come from one decode-and-check function.
+//
+// Corruption never throws: shards that fail CRC/structural validation or
+// row decode, shards holding an out-of-range row, and feed files that are
+// missing or unreadable are quarantined into the dataset's
+// telemetry/quality ledger under the "store" feed, the intact remainder is
+// loaded, and the outcome is marked kDegraded — partial data is never
+// silently served as complete (load_or_run re-simulates instead).
 #pragma once
 
 #include <cstdint>
@@ -136,6 +143,9 @@ struct ReadOutcome {
 
 // Loads the dataset stored in `dir` for `config`. The substrate is rebuilt
 // from the config; the stored digest must match config_digest(config).
+// A shard with a negative user, LAD or cell, a day outside SimDay or a
+// quality-feed name over 4096 bytes is quarantined whole; a stored London
+// matrix shape outside the run degrades the outcome and is not built.
 [[nodiscard]] ReadOutcome read_dataset(const std::string& dir,
                                        const sim::ScenarioConfig& config);
 
@@ -151,8 +161,9 @@ struct ScanStats {
 // Out-of-core scan over the stored KPI feed (the dominant one): decodes
 // shard by shard straight off the file mapping and invokes `row` for each
 // record in store order, holding at most one shard of decoded rows in
-// memory — a feed far larger than RAM streams through fine. Corrupt shards
-// (or a wholly unreadable feed) are skipped and counted, never thrown.
+// memory — a feed far larger than RAM streams through fine. Corrupt shards,
+// shards read_dataset would reject for an out-of-range row, and a wholly
+// unreadable feed are skipped and counted, never thrown.
 ScanStats scan_kpis(
     const std::string& dir,
     const std::function<void(const telemetry::CellDayRecord&)>& row);

@@ -1,9 +1,10 @@
 // Named feed schemas: the single source of truth for what each cellstore
 // feed looks like on disk.
 //
-// dataset_io.cc (writer + full replay) and scan.h (the vectorized scan
-// engine) must agree byte-for-byte on column order, encodings and the
-// on-disk row-kind/series/scalar ids — so all of it lives here, once.
+// dataset_io.cc (the writer, and the per-feed row mapping of full replay)
+// and scan.h (the scan engine, the one decoder) must agree byte-for-byte on
+// column order, encodings and the on-disk row-kind/series/scalar ids — so
+// all of it lives here, once.
 // A FeedSchema names every column, fixes its Encoding, and knows which
 // column (if any) carries the day the row was tagged with, which is what
 // lets the scanner resolve projections by name and push day predicates

@@ -34,6 +34,25 @@ bool decode_i64_column(const ColumnView& column, std::size_t rows,
   return true;
 }
 
+// kBytes payloads frame each row as [varint length][bytes]; the views
+// point into the payload. False when a length overruns it.
+bool decode_bytes_column(const ColumnView& column, std::size_t rows,
+                         std::vector<std::string_view>& out) {
+  out.clear();
+  out.reserve(rows);
+  ColumnCursor cursor{column};
+  for (std::size_t i = 0; i < rows; ++i) {
+    std::uint64_t n = 0;
+    const std::uint8_t* data = nullptr;
+    if (!cursor.next_u64(n) ||
+        !cursor.next_bytes(static_cast<std::size_t>(n), data))
+      return false;
+    out.emplace_back(reinterpret_cast<const char*>(data),
+                     static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
 // kRaw64 payloads are position-addressable: exactly 8 bytes per row, so a
 // selection can gather survivors without touching the rest — the late
 // materialization half of the scan contract.
@@ -52,10 +71,33 @@ FeedScanner::FeedScanner(std::shared_ptr<const FeedFileReader> reader,
     : schema_(schema),
       options_(std::move(options)),
       reader_(std::move(reader)) {
+  if (!resolve_options()) return;
+  totals_.bytes_file = reader_->file_bytes();
+  if (reader_->status() != FeedFileReader::Status::kOk) {
+    // Whole-file failure is one quarantine unit.
+    error_ = reader_->error();
+    totals_.shards_quarantined = 1;
+    quarantine_log_.push_back(schema_.feed() + ": " + error_);
+    return;
+  }
+  totals_.shards_quarantined = reader_->quarantined_shards();
+  for (const auto& entry : reader_->quarantine_log())
+    quarantine_log_.push_back(entry);
+  start(reader_->shards());
+  totals_.shards_total += reader_->quarantined_shards();
+}
+
+FeedScanner::FeedScanner(std::span<const ShardView> shards,
+                         const FeedSchema& schema, ScanOptions options)
+    : schema_(schema), options_(std::move(options)) {
+  if (resolve_options()) start(shards);
+}
+
+bool FeedScanner::resolve_options() {
   if (options_.batch_rows == 0)
     options_.batch_rows = ScanOptions::kDefaultBatchRows;
 
-  // Resolve the projection against the schema before looking at the file:
+  // Resolve the projection against the schema before looking at the data:
   // a bad projection is caller error, not data damage, so it fails the
   // scanner without charging the quarantine ledger.
   if (options_.columns.empty())
@@ -66,18 +108,14 @@ FeedScanner::FeedScanner(std::shared_ptr<const FeedFileReader> reader,
     if (index == FeedSchema::npos) {
       error_ = "unknown column '" + name + "' in feed '" + schema_.feed() +
                "'";
-      return;
-    }
-    if (schema_.columns()[index].encoding == Encoding::kBytes) {
-      error_ = "kBytes column '" + name + "' cannot be projected";
-      return;
+      return false;
     }
     projection_.push_back(index);
   }
   const auto& predicate = options_.predicate;
   if (predicate.day_bounded() && schema_.day_column() == FeedSchema::npos) {
     error_ = "feed '" + schema_.feed() + "' has no day column to filter on";
-    return;
+    return false;
   }
   if (predicate.keyed()) {
     key_col_ = schema_.column_index(predicate.key_column);
@@ -85,27 +123,18 @@ FeedScanner::FeedScanner(std::shared_ptr<const FeedFileReader> reader,
         schema_.columns()[key_col_].encoding == Encoding::kBytes) {
       error_ = "key column '" + predicate.key_column +
                "' missing or not integer-encoded";
-      return;
+      return false;
     }
   }
+  return true;
+}
 
-  totals_.bytes_file = reader_->file_bytes();
-  if (reader_->status() != FeedFileReader::Status::kOk) {
-    // Whole-file failure is one quarantine unit, exactly as the replay
-    // loader accounts it.
-    error_ = reader_->error();
-    totals_.shards_quarantined = 1;
-    quarantine_log_.push_back(schema_.feed() + ": " + error_);
-    return;
-  }
-  totals_.shards_quarantined = reader_->quarantined_shards();
-  for (const auto& entry : reader_->quarantine_log())
-    quarantine_log_.push_back(entry);
-  totals_.shards_total =
-      reader_->shards().size() + reader_->quarantined_shards();
-  footer_rows_ = reader_->total_rows();
+void FeedScanner::start(std::span<const ShardView> shards) {
+  shards_ = shards;
+  totals_.shards_total = shards.size();
   bool first = true;
-  for (const auto& shard : reader_->shards()) {
+  for (const auto& shard : shards) {
+    footer_rows_ += shard.rows;
     footer_min_day_ = first ? shard.min_day
                             : std::min(footer_min_day_, shard.min_day);
     footer_max_day_ = first ? shard.max_day
@@ -114,6 +143,7 @@ FeedScanner::FeedScanner(std::shared_ptr<const FeedFileReader> reader,
   }
   staged_i64_.resize(projection_.size());
   staged_f64_.resize(projection_.size());
+  staged_bytes_.resize(projection_.size());
   ok_ = true;
 }
 
@@ -147,14 +177,18 @@ bool FeedScanner::next(ScanBatch& batch) {
     ScanColumn& out = batch.columns_[j];
     out.name = schema_column.name;
     out.encoding = schema_column.encoding;
-    if (schema_column.encoding == Encoding::kRaw64) {
-      out.f64 = std::span<const double>{staged_f64_[j]}.subspan(staged_pos_,
-                                                                n);
-      out.i64 = {};
-    } else {
-      out.i64 = std::span<const std::int64_t>{staged_i64_[j]}.subspan(
-          staged_pos_, n);
-      out.f64 = {};
+    out.i64 = {};
+    out.f64 = {};
+    out.bytes = {};
+    switch (schema_column.encoding) {
+      case Encoding::kRaw64:
+        out.f64 = std::span{staged_f64_[j]}.subspan(staged_pos_, n);
+        break;
+      case Encoding::kBytes:
+        out.bytes = std::span{staged_bytes_[j]}.subspan(staged_pos_, n);
+        break;
+      default:
+        out.i64 = std::span{staged_i64_[j]}.subspan(staged_pos_, n);
     }
   }
   staged_pos_ += n;
@@ -162,10 +196,9 @@ bool FeedScanner::next(ScanBatch& batch) {
 }
 
 bool FeedScanner::stage_next_shard() {
-  const auto& shards = reader_->shards();
   const auto& predicate = options_.predicate;
-  while (shard_i_ < shards.size()) {
-    const ShardView& shard = shards[shard_i_++];
+  while (shard_i_ < shards_.size()) {
+    const ShardView& shard = shards_[shard_i_++];
     // Footer pushdown: the index entry carries the shard's day range, so a
     // disjoint shard is skipped before a single payload byte is read.
     if (shard.max_day < predicate.min_day ||
@@ -267,6 +300,19 @@ bool FeedScanner::decode_shard(const ShardView& shard) {
       }
       continue;
     }
+    if (column.encoding == Encoding::kBytes) {
+      // Never a gate column: decode the shard's worth, then gather the
+      // selection in place (selection_ is ascending).
+      auto& out = staged_bytes_[j];
+      if (!decode_bytes_column(column, rows, out)) return false;
+      totals_.bytes_decoded += column.bytes;
+      if (!identity) {
+        for (std::size_t k = 0; k < selection_.size(); ++k)
+          out[k] = out[selection_[k]];
+        out.resize(selection_.size());
+      }
+      continue;
+    }
     // Variable-width columns are sequential-only: decode the shard's worth
     // once (reusing a gate column's scratch when it is the same column),
     // then keep all rows or gather the selection.
@@ -282,7 +328,9 @@ bool FeedScanner::decode_shard(const ShardView& shard) {
     }
     auto& out = staged_i64_[j];
     out.clear();
-    if (identity) {
+    if (identity && decoded == &scratch_i64_) {
+      out.swap(scratch_i64_);
+    } else if (identity) {
       out = *decoded;
     } else {
       out.reserve(selection_.size());

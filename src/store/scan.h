@@ -1,8 +1,5 @@
-// Vectorized columnar scan engine over cellstore feed files.
-//
-// The figure pipelines each consume a few columns of the dominant KPI feed
-// over day/region slices, yet full replay (dataset_io.h) rebuilds entire
-// Datasets first. FeedScanner reads a CSF1 feed the way a column store
+// Vectorized columnar scan engine over cellstore feed files — the one
+// decoder of CSF1 feeds. FeedScanner reads a feed the way a column store
 // should be read:
 //
 //   * column projection by name      — untouched columns are never decoded;
@@ -17,17 +14,24 @@
 //     that failed the predicate are never decoded at all: survivors gather
 //     at 8-byte stride straight off the mapping.
 //
-// Corruption semantics match full replay exactly: a shard that fails CRC,
-// structural validation or row decode is quarantined — counted, logged,
-// skipped — and a wholly unreadable feed is one quarantine unit with
-// ok() == false. The scanner never throws on bad input and never serves a
-// partially decoded shard: a shard contributes all of its surviving rows
-// or none.
+// Every column encoding is readable, so every feed of the feeds.h registry
+// is: kBytes columns (framed [varint length][bytes] per row) surface as
+// string_views into the mapping. read_dataset (dataset_io.h) is a client
+// like the figure adapters below: it reads each feed with one batch per
+// whole shard (batch_rows no smaller than any shard), so the semantic
+// checks it layers on top can reject a shard all-or-nothing.
+//
+// Corruption semantics: a shard that fails CRC, structural validation or
+// row decode is quarantined — counted, logged, skipped — and a wholly
+// unreadable feed is one quarantine unit with ok() == false. The scanner
+// never throws on bad input and never serves a partially decoded shard: a
+// shard contributes all of its surviving rows or none.
 //
 // Batch lifetime: a ScanBatch only holds spans into buffers owned by the
 // scanner. They are valid until the next next() call or the scanner's
 // destruction, whichever comes first — copy out anything that must outlive
-// the loop. A batch never spans a shard boundary, so the final batch of
+// the loop (kBytes views point into the mapping, which lives as long as
+// the reader). A batch never spans a shard boundary, so the final batch of
 // each shard may be short.
 //
 // Reader lifetime: a scanner borrows its validated FeedFileReader through a
@@ -35,12 +39,12 @@
 // any number of threads share one mapping and one verify, and the mapping
 // outlives the handle while any of them is still scanning.
 //
-// The adapters at the bottom port the figure pipelines onto the scan path
-// while keeping full replay as the reference oracle: each one re-checks
-// feed integrity (footer row counts vs the scalar feed's expected counts,
-// zero quarantined shards) and returns nullopt on ANY damage, so callers
-// degrade to the replay/re-simulate path instead of trusting partial data
-// — the same never-serve-partial-as-complete contract read_dataset keeps.
+// The adapters at the bottom serve the figure pipelines straight off the
+// store: each one re-checks feed integrity (footer row counts vs the scalar
+// feed's expected counts, zero quarantined shards) and returns nullopt on
+// ANY damage, so callers degrade to the replay/re-simulate path instead of
+// trusting partial data — the same never-serve-partial-as-complete contract
+// read_dataset keeps.
 #pragma once
 
 #include <cstdint>
@@ -86,8 +90,7 @@ struct ScanOptions {
   static constexpr std::size_t kDefaultBatchRows = 4096;
 
   // Projection, by schema column name. Empty = every column of the feed.
-  // kBytes columns cannot be projected (no fixed-width representation);
-  // requesting one fails the scanner up front.
+  // An unknown name fails the scanner up front.
   std::vector<std::string> columns;
   ScanPredicate predicate;
   std::size_t batch_rows = kDefaultBatchRows;
@@ -107,14 +110,16 @@ struct ScanTotals {
   std::uint64_t bytes_decoded = 0;       // payload bytes actually decoded
 };
 
-// One projected column of a batch. Exactly one of the two spans is
-// populated, by encoding: kRaw64 columns surface as doubles (raw IEEE 754
-// bits off the file), kVarint / kDeltaZigzagVarint columns as int64.
+// One projected column of a batch. Exactly one of the spans is populated,
+// by encoding: kRaw64 columns surface as doubles (raw IEEE 754 bits off the
+// file), kVarint / kDeltaZigzagVarint columns as int64, kBytes columns as
+// views of each row's bytes.
 struct ScanColumn {
   std::string_view name;
   Encoding encoding = Encoding::kRaw64;
   std::span<const std::int64_t> i64;
   std::span<const double> f64;
+  std::span<const std::string_view> bytes;
 };
 
 class ScanBatch {
@@ -140,6 +145,10 @@ class FeedScanner {
   // as ok() == false with the reason in error().
   FeedScanner(std::shared_ptr<const FeedFileReader> reader,
               const FeedSchema& schema, ScanOptions options);
+  // Scans `shards`, already verified (a PendingFeed's, say), which must
+  // outlive the scanner. Decodes exactly as a file scan does.
+  FeedScanner(std::span<const ShardView> shards, const FeedSchema& schema,
+              ScanOptions options);
   ~FeedScanner();
 
   FeedScanner(FeedScanner&&) = default;
@@ -178,7 +187,8 @@ class FeedScanner {
  private:
   FeedSchema schema_;
   ScanOptions options_;
-  std::shared_ptr<const FeedFileReader> reader_;
+  std::shared_ptr<const FeedFileReader> reader_;  // null for a shard span
+  std::span<const ShardView> shards_;
   bool ok_ = false;
   std::string error_;
   ScanTotals totals_;
@@ -195,6 +205,7 @@ class FeedScanner {
   // projected column, plus scratch for gate columns and the selection.
   std::vector<std::vector<std::int64_t>> staged_i64_;
   std::vector<std::vector<double>> staged_f64_;
+  std::vector<std::vector<std::string_view>> staged_bytes_;
   std::vector<std::int64_t> scratch_day_;
   std::vector<std::int64_t> scratch_key_;
   std::vector<std::int64_t> scratch_i64_;
@@ -203,6 +214,8 @@ class FeedScanner {
   std::size_t staged_pos_ = 0;
   bool metrics_recorded_ = false;
 
+  bool resolve_options();
+  void start(std::span<const ShardView> shards);
   bool stage_next_shard();
   bool decode_shard(const ShardView& shard);
   void quarantine(const std::string& reason);

@@ -186,10 +186,6 @@ class ColumnCursor {
   // kBytes columns framed as [varint length][bytes]...: consumes `n` raw
   // bytes, pointing `out` into the mapping.
   bool next_bytes(std::size_t n, const std::uint8_t*& out);
-  // kBytes columns: the whole payload as one blob.
-  [[nodiscard]] std::span<const std::uint8_t> blob() const {
-    return {column_.data, column_.bytes};
-  }
 
  private:
   ColumnView column_;

@@ -49,8 +49,28 @@ enum class KpiMetric : std::uint8_t {
 };
 inline constexpr int kKpiMetricCount = 11;
 
+// The metric members of CellDayRecord in KpiMetric order — the one place
+// the metric <-> field mapping is spelled out. kpi_value, the daily
+// reduction and the store's KPI row decode all index it.
+inline constexpr double CellDayRecord::* kKpiFields[kKpiMetricCount] = {
+    &CellDayRecord::dl_volume_mb,
+    &CellDayRecord::ul_volume_mb,
+    &CellDayRecord::active_dl_users,
+    &CellDayRecord::tti_utilization,
+    &CellDayRecord::user_dl_throughput_mbps,
+    &CellDayRecord::active_data_seconds,
+    &CellDayRecord::connected_users,
+    &CellDayRecord::voice_volume_mb,
+    &CellDayRecord::simultaneous_voice_users,
+    &CellDayRecord::voice_dl_loss_pct,
+    &CellDayRecord::voice_ul_loss_pct,
+};
+
 [[nodiscard]] std::string_view kpi_metric_name(KpiMetric metric);
-[[nodiscard]] double kpi_value(const CellDayRecord& record, KpiMetric metric);
+[[nodiscard]] inline double kpi_value(const CellDayRecord& record,
+                                      KpiMetric metric) {
+  return record.*kKpiFields[static_cast<int>(metric)];
+}
 
 enum class DailyReduction : std::uint8_t {
   kMedian = 0,  // what the paper reports

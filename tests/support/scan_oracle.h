@@ -1,18 +1,19 @@
 // Differential harness for the vectorized scan engine (store/scan.h).
 //
 // The contract under test: any projected, predicated scan of a stored KPI
-// feed is bitwise-equal to the same slice cut from fully replayed rows by
-// plain scalar code. The oracle here never touches the scanner's decode
-// paths — it re-computes every projected cell straight from
+// feed is bitwise-equal to the same slice cut from a row list by plain
+// scalar code. The oracle here never touches the scanner's decode paths —
+// it re-computes every projected cell straight from
 // telemetry::CellDayRecord values (doubles compared by their IEEE 754 bit
 // patterns, never by epsilon), so a bug in the gather, the late
 // materialization or the delta-decode reuse cannot hide on both sides of
 // the comparison.
 //
-// The same harness covers damaged stores: FeedFileReader validates CRCs
-// for scan and replay alike, so both paths quarantine the same shards and
-// the surviving rows must still agree bit for bit. Feeding the oracle the
-// records replayed from the damaged store closes that loop.
+// The row list is the simulation's own Dataset, the rows a synthetic feed
+// was written from, or — for damaged feeds — reference_decode_kpis below,
+// a row-at-a-time cursor decode independent of the scanner. read_dataset
+// reads through the scanner, so on a damaged store it is compared against
+// that reference, never only against itself.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -20,7 +21,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstddef>
-#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -170,29 +170,13 @@ inline void expect_scan_matches_replay(
                                          run.totals.shards_quarantined);
 }
 
-// The metric members of CellDayRecord in KpiMetric (and stored-column)
-// order, for loops that touch all eleven without copy-pasted field lists.
-inline constexpr double telemetry::CellDayRecord::* kKpiFields[] = {
-    &telemetry::CellDayRecord::dl_volume_mb,
-    &telemetry::CellDayRecord::ul_volume_mb,
-    &telemetry::CellDayRecord::active_dl_users,
-    &telemetry::CellDayRecord::tti_utilization,
-    &telemetry::CellDayRecord::user_dl_throughput_mbps,
-    &telemetry::CellDayRecord::active_data_seconds,
-    &telemetry::CellDayRecord::connected_users,
-    &telemetry::CellDayRecord::voice_volume_mb,
-    &telemetry::CellDayRecord::simultaneous_voice_users,
-    &telemetry::CellDayRecord::voice_dl_loss_pct,
-    &telemetry::CellDayRecord::voice_ul_loss_pct,
-};
-static_assert(std::size(kKpiFields) == telemetry::kKpiMetricCount);
-
-// Full-replay reference decode of one kpis feed file: FeedFileReader plus
-// a sequential ColumnCursor per column — the exact shape the replay path
-// (FeedLoader) uses, none of the scanner's vectorized machinery. A shard
-// that fails row decode drops whole, like replay; an unreadable file
-// reports readable == false. This is the oracle for damaged synthetic
-// feeds where no read_dataset() replay exists.
+// Reference decode of one kpis feed file: FeedFileReader plus a sequential
+// ColumnCursor per column, none of the scanner's batched machinery. The
+// store's production readers (read_dataset, scan_kpis, the adapters) all
+// decode through FeedScanner, so this row-at-a-time loop is the independent
+// side of every differential test on damaged feeds. A shard that fails
+// decode drops whole; an unreadable file reports readable == false. It
+// applies no semantic row checks: the raw values come back as stored.
 struct ReferenceDecode {
   bool readable = false;
   std::uint64_t shards_quarantined = 0;
@@ -257,7 +241,8 @@ inline ReferenceDecode reference_decode_kpis(const std::string& path) {
           static_cast<std::int64_t>(columns[0][r]));
       record.cell = CellId{static_cast<std::uint32_t>(columns[1][r])};
       for (int m = 0; m < telemetry::kKpiMetricCount; ++m)
-        record.*kKpiFields[m] = std::bit_cast<double>(columns[2 + m][r]);
+        record.*telemetry::kKpiFields[m] =
+            std::bit_cast<double>(columns[2 + m][r]);
       out.records.push_back(record);
     }
   }

@@ -1,17 +1,19 @@
-// The vectorized scan engine, proven equal to full replay.
+// The vectorized scan engine — the store's one decoder — proven equal to
+// rows it did not decode.
 //
 // Every test here is differential: the scanner's projected, predicated,
 // late-materialized output is compared BIT for BIT against the same slice
-// computed by plain scalar code from fully replayed rows
+// computed by plain scalar code from a reference row list
 // (support/scan_oracle.h). The suite runs the comparison three ways:
 //
 //   * a real simulated store (clean and measurement-faulted), where the
-//     replay side is the Dataset the simulation produced;
-//   * a synthetic multi-shard feed, where the oracle is the row list the
-//     test wrote and a sequential reference decode stands in for replay;
-//   * damaged stores, where both paths must quarantine the same shards and
-//     agree on every surviving row — never crash, never serve partial
-//     data as complete.
+//     reference is the Dataset the simulation produced;
+//   * a synthetic multi-shard feed, where the reference is the row list
+//     the test wrote;
+//   * damaged stores, where the scanner, read_dataset (a scanner client)
+//     and the sequential cursor reference decode must quarantine the same
+//     shards and agree on every surviving row — never crash, never serve
+//     partial data as complete.
 //
 // Plus the accounting contracts that ride on the scan path: scan_kpis is
 // single-pass (store.bytes_read == one file size), and the scan.* obs
@@ -95,7 +97,7 @@ std::vector<telemetry::CellDayRecord> synthetic_records(int days, int cells,
       record.day = d;
       record.cell = CellId{static_cast<std::uint32_t>(c)};
       for (int m = 0; m < telemetry::kKpiMetricCount; ++m)
-        record.*testsupport::kKpiFields[m] = value(rng);
+        record.*telemetry::kKpiFields[m] = value(rng);
       const int spice = (d * cells + c) % 101;
       if (spice == 0) record.dl_volume_mb = -0.0;
       if (spice == 1) record.ul_volume_mb = 4.9406564584124654e-324;
@@ -195,12 +197,71 @@ TEST_F(ScanEngine, InvalidProjectionFailsUpFrontWithoutQuarantine) {
   // A caller error is not data damage: nothing lands in quarantine.
   EXPECT_EQ(unknown.totals().shards_quarantined, 0u);
 
-  // kBytes columns have no fixed-width representation to project.
-  ScanOptions blob;
-  blob.columns = {"name"};
-  FeedScanner bytes = FeedScanner::open(dir(), feed_schema("quality"), blob);
-  EXPECT_FALSE(bytes.ok());
-  EXPECT_EQ(bytes.totals().shards_quarantined, 0u);
+}
+
+// kBytes columns project like any other: the quality ledger's feed names
+// come back as views into the mapping, in ledger order.
+TEST(ScanBytes, QualityNamesProjectFromAFaultedStore) {
+  const std::string dir = fresh_dir("bytes_faulted");
+  const sim::Dataset live = simulate_to_store(faulted_config(), dir);
+  ASSERT_FALSE(live.quality.feeds().empty());
+
+  ScanOptions options;
+  options.columns = {"kind", "name"};
+  FeedScanner scanner =
+      FeedScanner::open(dir, feed_schema("quality"), std::move(options));
+  ASSERT_TRUE(scanner.ok()) << scanner.error();
+  std::vector<std::string> names;
+  ScanBatch batch;
+  while (scanner.next(batch)) {
+    ASSERT_EQ(batch.column(1).encoding, Encoding::kBytes);
+    ASSERT_EQ(batch.column(1).bytes.size(), batch.rows());
+    for (std::size_t i = 0; i < batch.rows(); ++i) {
+      if (static_cast<std::uint64_t>(batch.column(0).i64[i]) ==
+          kFeedTotalsRow) {
+        names.emplace_back(batch.column(1).bytes[i]);
+      } else {
+        EXPECT_TRUE(batch.column(1).bytes[i].empty());
+      }
+    }
+  }
+  EXPECT_EQ(scanner.totals().shards_quarantined, 0u);
+  std::vector<std::string> expected;
+  for (const auto& feed : live.quality.feeds()) expected.push_back(feed.name);
+  EXPECT_EQ(names, expected);
+}
+
+// A CRC-valid shard whose name length prefix runs past the column payload
+// is quarantined whole; the intact shard before it still scans.
+TEST(ScanBytes, LengthPrefixOverrunningThePayloadQuarantinesItsShard) {
+  const std::string dir = fresh_dir("bytes_overrun");
+  const FeedSchema& schema = feed_schema("quality");
+  {
+    FeedFileWriter writer{dir + "/" + feed_file_name("quality"),
+                          schema.encodings(), /*max_rows_per_shard=*/2};
+    const std::string names[] = {"kpi", "signaling", "voice", "mobility"};
+    for (int row = 0; row < 4; ++row) {
+      const std::string& name = names[row];
+      writer.u64(0, kFeedTotalsRow);
+      // The last row claims 4096 bytes more than it carries.
+      writer.u64(1, name.size() + (row == 3 ? 4096 : 0));
+      writer.bytes(1, name.data(), name.size());
+      writer.i64(2, 0);
+      for (std::size_t c = 3; c < schema.size(); ++c) writer.u64(c, 1);
+      writer.end_row(0);
+    }
+    writer.close();
+  }
+  FeedScanner scanner = FeedScanner::open(dir, schema, ScanOptions{});
+  ASSERT_TRUE(scanner.ok()) << scanner.error();
+  std::vector<std::string> names;
+  ScanBatch batch;
+  while (scanner.next(batch))
+    for (const auto name : batch.column(1).bytes) names.emplace_back(name);
+  EXPECT_EQ(names, (std::vector<std::string>{"kpi", "signaling"}));
+  EXPECT_EQ(scanner.totals().shards_quarantined, 1u);
+  EXPECT_EQ(scanner.totals().shards_scanned, 1u);
+  EXPECT_FALSE(scanner.quarantine_log().empty());
 }
 
 TEST_F(ScanEngine, MissingFeedIsOneQuarantineUnit) {
@@ -435,6 +496,18 @@ TEST_F(ScanEngine, CorruptedShardScanAgreesWithDegradedReplay) {
                              ScanOptions{});
   const ScanRun run = drain_kpi_scan(damaged, ScanOptions{});
   EXPECT_GE(run.totals.shards_quarantined, 1u);
+
+  // Both sides above are the scanner; the sequential cursor decode is the
+  // independent reference. It drops the same shard and keeps the same rows.
+  const auto reference =
+      reference_decode_kpis(damaged + "/" + feed_file_name("kpis"));
+  ASSERT_TRUE(reference.readable);
+  EXPECT_EQ(reference.shards_quarantined, outcome.shards_quarantined);
+  EXPECT_EQ(reference.shards_quarantined, run.totals.shards_quarantined);
+  expect_scan_matches_replay(damaged, reference.records, ScanOptions{});
+  EXPECT_EQ(kpi_oracle_slice(outcome.dataset->kpis.records(), ScanOptions{})
+                .rows,
+            kpi_oracle_slice(reference.records, ScanOptions{}).rows);
 
   // The figure adapter sees the damage and steps aside.
   const auto grouping =

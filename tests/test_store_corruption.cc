@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -17,8 +19,11 @@
 #include "sim/simulator.h"
 #include "store/checkpoint.h"
 #include "store/dataset_io.h"
+#include "store/feeds.h"
 #include "store/format.h"
+#include "store/scan.h"
 #include "store/shard.h"
+#include "support/scan_oracle.h"
 
 namespace cellscope::store {
 namespace {
@@ -446,6 +451,207 @@ TEST(CraftedFeed, ColumnLengthWrappingThePayloadIsQuarantined) {
   EXPECT_EQ(reader.quarantined_shards(), 1u);
   EXPECT_TRUE(reader.shards().empty());
   std::filesystem::remove(path);
+}
+
+// ------------------------------------------------- crafted dataset feeds
+//
+// Feeds rewritten through the real writer, so every CRC is valid and only
+// read_dataset's own checks see the damage.
+
+// One stored row, every column kept whole: integers (either integer
+// encoding), doubles and kBytes payloads.
+struct Cell {
+  std::int64_t i = 0;
+  double f = 0.0;
+  std::string s;
+};
+using Row = std::vector<Cell>;
+
+// Reads every row of `feed` in `dir`, lets `edit` change them, and writes
+// them back through the real writer at the default shard size.
+void rewrite_feed(const std::string& dir, const std::string& feed,
+                  const std::function<void(std::vector<Row>&)>& edit) {
+  const FeedSchema& schema = feed_schema(feed);
+  std::vector<Row> rows;
+  {
+    FeedScanner scanner = FeedScanner::open(dir, schema, ScanOptions{});
+    ASSERT_TRUE(scanner.ok()) << scanner.error();
+    ScanBatch batch;
+    while (scanner.next(batch)) {
+      for (std::size_t r = 0; r < batch.rows(); ++r) {
+        Row& row = rows.emplace_back(schema.size());
+        for (std::size_t c = 0; c < schema.size(); ++c) {
+          const ScanColumn& column = batch.column(c);
+          if (!column.i64.empty()) row[c].i = column.i64[r];
+          if (!column.f64.empty()) row[c].f = column.f64[r];
+          if (!column.bytes.empty()) row[c].s = column.bytes[r];
+        }
+      }
+    }
+  }
+  edit(rows);
+  FeedFileWriter writer{dir + "/" + feed_file_name(feed), schema.encodings()};
+  for (const Row& row : rows) {
+    for (std::size_t c = 0; c < schema.size(); ++c) {
+      switch (schema.columns()[c].encoding) {
+        case Encoding::kRaw64: writer.f64(c, row[c].f); break;
+        case Encoding::kVarint:
+          writer.u64(c, static_cast<std::uint64_t>(row[c].i));
+          break;
+        case Encoding::kDeltaZigzagVarint: writer.i64(c, row[c].i); break;
+        case Encoding::kBytes:
+          writer.u64(c, row[c].s.size());
+          writer.bytes(c, row[c].s.data(), row[c].s.size());
+          break;
+      }
+    }
+    writer.end_row(schema.day_column() == FeedSchema::npos
+                       ? 0
+                       : row[schema.day_column()].i);
+  }
+  writer.close();
+}
+
+// The London matrix is sized from stored scalars. A range swapped (first >
+// last) or inflated past the run, or a home county that does not exist,
+// must degrade the read, not throw length_error or ask for gigabytes.
+TEST_F(StoreCorruption, CraftedMatrixRangeDegradesWithoutThrowing) {
+  ASSERT_NE(live().london_matrix, nullptr);
+  const auto first =
+      static_cast<std::int64_t>(live().london_matrix->first_day());
+  const auto last =
+      static_cast<std::int64_t>(live().london_matrix->last_day());
+  ASSERT_LT(first, last);
+  const std::int64_t max_day = std::numeric_limits<SimDay>::max();
+  using Edits = std::vector<std::pair<ScalarId, std::int64_t>>;
+  const std::vector<std::pair<std::string, Edits>> cases = {
+      {"swapped", {{kMatrixFirstDay, last}, {kMatrixLastDay, first}}},
+      {"inflated", {{kMatrixLastDay, max_day}}},
+      {"county", {{kLondonHomeCounty, 1'000'000}}},
+  };
+  for (const auto& [name, edits] : cases) {
+    SCOPED_TRACE(name);
+    const std::string dir = clone("matrix_" + name);
+    rewrite_feed(dir, "scalars", [&](std::vector<Row>& rows) {
+      for (Row& row : rows)
+        for (const auto& [id, value] : edits)
+          if (row[0].i == static_cast<std::int64_t>(id)) row[2].i = value;
+    });
+    const ReadOutcome outcome = read_dataset(dir, tiny_config());
+    EXPECT_EQ(outcome.status, ReadOutcome::Status::kDegraded) << outcome.error;
+    EXPECT_FALSE(outcome.error.empty());
+    ASSERT_TRUE(outcome.dataset.has_value());
+    EXPECT_EQ(outcome.dataset->london_matrix, nullptr);
+    EXPECT_GE(store_quarantined(*outcome.dataset), 1u);
+    // Every other feed still loads in full.
+    EXPECT_EQ(outcome.dataset->kpis.records().size(),
+              live().kpis.records().size());
+    EXPECT_EQ(outcome.dataset->homes.size(), live().homes.size());
+  }
+}
+
+// CRC-valid rows read_dataset must still refuse: a negative user or LAD,
+// and a quality-feed name over 4096 bytes. Each feed here is one shard,
+// so the whole feed is quarantined and the read degrades.
+TEST_F(StoreCorruption, OutOfRangeRowsQuarantineTheirShard) {
+  struct Case {
+    std::string feed;
+    std::function<void(std::vector<Row>&)> edit;
+  };
+  const std::vector<Case> cases = {
+      {"homes", [](std::vector<Row>& rows) { rows.at(3)[0].i = -1; }},
+      {"validation", [](std::vector<Row>& rows) { rows.at(1)[0].i = -7; }},
+      {"quality",
+       [](std::vector<Row>& rows) {
+         Row row(feed_schema("quality").size());
+         row[0].i = kFeedTotalsRow;
+         row[1].s.assign(4097, 'q');
+         rows.push_back(row);
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.feed);
+    const std::string dir = clone("row_range_" + c.feed);
+    rewrite_feed(dir, c.feed, c.edit);
+    const ReadOutcome outcome = read_dataset(dir, tiny_config());
+    EXPECT_EQ(outcome.status, ReadOutcome::Status::kDegraded);
+    EXPECT_EQ(outcome.shards_quarantined, 1u);
+    ASSERT_TRUE(outcome.dataset.has_value());
+    EXPECT_GE(store_quarantined(*outcome.dataset), 1u);
+    EXPECT_EQ(outcome.dataset->kpis.records().size(),
+              live().kpis.records().size());
+  }
+  // The same rewrite with no edit reads back complete.
+  const std::string dir = clone("row_range_none");
+  rewrite_feed(dir, "homes", [](std::vector<Row>&) {});
+  EXPECT_EQ(read_dataset(dir, tiny_config()).status,
+            ReadOutcome::Status::kOk);
+}
+
+// A CRC-valid KPI shard with one out-of-range row (a negative cell, or a
+// day past SimDay): scan_kpis and read_dataset both reject that shard
+// whole and keep every other row, exactly the rows the cursor reference
+// decode returns for the other shards.
+TEST_F(StoreCorruption, OutOfRangeKpiRowQuarantinesItsShardEverywhere) {
+  const auto& records = live().kpis.records();
+  constexpr std::size_t kRowsPerShard = 1024;
+  ASSERT_GT(records.size(), 3 * kRowsPerShard);
+  const std::size_t bad = kRowsPerShard + 17;  // inside the second shard
+  for (const bool bad_cell : {true, false}) {
+    SCOPED_TRACE(bad_cell ? "negative cell" : "day past SimDay");
+    const std::string dir = clone(bad_cell ? "kpi_cell" : "kpi_day");
+    const std::string path = dir + "/" + feed_file_name("kpis");
+    {
+      FeedFileWriter writer{path, feed_schema("kpis").encodings(),
+                            kRowsPerShard};
+      for (std::size_t i = 0; i < records.size(); ++i) {
+        const auto& r = records[i];
+        std::int64_t day = r.day;
+        std::int64_t cell = r.cell.value();
+        if (i == bad && bad_cell) cell = -1;
+        if (i == bad && !bad_cell)
+          day = std::int64_t{std::numeric_limits<SimDay>::max()} + 1;
+        writer.i64(0, day);
+        writer.i64(1, cell);
+        for (int m = 0; m < telemetry::kKpiMetricCount; ++m) {
+          const auto metric = static_cast<telemetry::KpiMetric>(m);
+          writer.f64(kpi_metric_column(metric),
+                     telemetry::kpi_value(r, metric));
+        }
+        writer.end_row(day);
+      }
+      writer.close();
+    }
+
+    // The reference decodes every shard; drop the damaged one by hand.
+    const auto reference = testsupport::reference_decode_kpis(path);
+    ASSERT_TRUE(reference.readable);
+    EXPECT_EQ(reference.shards_quarantined, 0u);
+    ASSERT_EQ(reference.records.size(), records.size());
+    std::vector<telemetry::CellDayRecord> expected;
+    for (std::size_t i = 0; i < reference.records.size(); ++i)
+      if (i / kRowsPerShard != bad / kRowsPerShard)
+        expected.push_back(reference.records[i]);
+    const auto expected_rows =
+        testsupport::kpi_oracle_slice(expected, ScanOptions{}).rows;
+
+    std::vector<telemetry::CellDayRecord> scanned;
+    const ScanStats stats = scan_kpis(
+        dir, [&](const telemetry::CellDayRecord& r) { scanned.push_back(r); });
+    EXPECT_EQ(stats.shards_quarantined, reference.shards_quarantined + 1);
+    EXPECT_EQ(stats.rows, expected.size());
+    EXPECT_EQ(testsupport::kpi_oracle_slice(scanned, ScanOptions{}).rows,
+              expected_rows);
+
+    const ReadOutcome outcome = read_dataset(dir, tiny_config());
+    EXPECT_EQ(outcome.status, ReadOutcome::Status::kDegraded);
+    EXPECT_EQ(outcome.shards_quarantined, reference.shards_quarantined + 1);
+    ASSERT_TRUE(outcome.dataset.has_value());
+    EXPECT_EQ(testsupport::kpi_oracle_slice(outcome.dataset->kpis.records(),
+                                            ScanOptions{})
+                  .rows,
+              expected_rows);
+  }
 }
 
 // ------------------------------------------------- crafted checkpoints
