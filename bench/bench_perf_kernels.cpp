@@ -311,7 +311,8 @@ void BM_ShardVerify(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(bytes.size()));
-  state.SetLabel(store::crc32c_is_hardware() ? "sse4.2" : "slicing-by-8");
+  state.SetLabel(store::crc32c_is_hardware() ? "sse4.2 3-way"
+                                             : "slicing-by-8");
   std::filesystem::remove(path);
 }
 BENCHMARK(BM_ShardVerify)->Arg(131'072);

@@ -140,24 +140,24 @@ KpiGroupSeries KpiGroupSeriesBuilder::finish() {
   return std::move(out_);
 }
 
-double KpiGroupSeriesBuilder::reduce(const stats::SampleBuffer& buffer) const {
+double KpiGroupSeriesBuilder::reduce(stats::SampleBuffer& buffer) const {
   switch (reduction_) {
-    case CellReduction::kMedian: return buffer.median();
+    case CellReduction::kMedian: return buffer.take_median();
     case CellReduction::kMean: return buffer.mean();
     case CellReduction::kSum: return buffer.mean() *
                                      static_cast<double>(buffer.size());
   }
-  return buffer.median();
+  return buffer.take_median();
 }
 
 void KpiGroupSeriesBuilder::flush_day(SimDay day) {
   for (std::size_t g = 0; g < buffers_.size(); ++g) {
-    if (!buffers_[g].empty()) {
-      out_.series_[g].set(day, reduce(buffers_[g]));
-      out_.cell_counts_[g].set(day,
-                               static_cast<double>(buffers_[g].size()));
+    stats::SampleBuffer& buffer = buffers_[g];
+    if (!buffer.empty()) {
+      out_.cell_counts_[g].set(day, static_cast<double>(buffer.size()));
+      out_.series_[g].set(day, reduce(buffer));
     }
-    buffers_[g].clear();
+    buffer.clear();
   }
 }
 

@@ -134,7 +134,8 @@ class KpiGroupSeriesBuilder {
   SimDay current_;
 
   void flush_day(SimDay day);
-  [[nodiscard]] double reduce(const stats::SampleBuffer& buffer) const;
+  // Reduces one group-day; a median reduction empties the buffer.
+  [[nodiscard]] double reduce(stats::SampleBuffer& buffer) const;
 };
 
 }  // namespace cellscope::analysis

@@ -36,8 +36,8 @@ std::vector<double> finite_scratch(std::span<const double> sample) {
   return scratch;
 }
 
-// Quantile on a scratch copy we are allowed to reorder.
-double quantile_inplace(std::vector<double>& scratch, double q) {
+// Quantile on finite scratch values we are allowed to reorder.
+double quantile_inplace(std::span<double> scratch, double q) {
   if (scratch.empty()) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
   const double pos = q * static_cast<double>(scratch.size() - 1);
@@ -63,6 +63,16 @@ double quantile(std::span<const double> sample, double q) {
 }
 
 double median(std::span<const double> sample) { return quantile(sample, 0.5); }
+
+double median_in_place(std::span<double> values) {
+  // remove_if keeps the finite values in their order, so nth_element sees
+  // exactly the sequence finite_scratch would have copied.
+  const auto finite_end = std::remove_if(
+      values.begin(), values.end(), [](double v) { return !std::isfinite(v); });
+  return quantile_inplace(
+      values.first(static_cast<std::size_t>(finite_end - values.begin())),
+      0.5);
+}
 
 double pearson(std::span<const double> x, std::span<const double> y) {
   if (x.size() != y.size() || x.size() < 2) return 0.0;
@@ -169,6 +179,11 @@ Summary summarize(std::span<const double> sample) {
 }
 
 double SampleBuffer::median() const { return stats::median(values_); }
+double SampleBuffer::take_median() {
+  const double m = median_in_place(values_);
+  values_.clear();
+  return m;
+}
 double SampleBuffer::mean() const { return stats::mean(values_); }
 double SampleBuffer::quantile(double q) const { return stats::quantile(values_, q); }
 Summary SampleBuffer::summarize() const { return stats::summarize(values_); }

@@ -29,6 +29,13 @@ namespace cellscope::stats {
 // NaN are treated as missing data, never as data.
 [[nodiscard]] double median(std::span<const double> sample);
 
+// median() without the copy, for hot loops that own a scratch sample: it
+// reorders `values` and overwrites its non-finite entries. The finite values
+// reach nth_element in the same order as median()'s copy, so the result is
+// bit-identical to median() on the original values, down to which of -0.0
+// and +0.0 is returned.
+[[nodiscard]] double median_in_place(std::span<double> values);
+
 // Linear-interpolated quantile, q in [0, 1]; 0 for an empty sample.
 // Non-finite values are excluded (see median()).
 [[nodiscard]] double quantile(std::span<const double> sample, double q);
@@ -98,6 +105,9 @@ class SampleBuffer {
   [[nodiscard]] bool empty() const { return values_.empty(); }
   [[nodiscard]] std::size_t size() const { return values_.size(); }
   [[nodiscard]] double median() const;
+  // median() computed in the buffer's own storage (median_in_place); the
+  // buffer is empty afterwards and keeps its capacity.
+  [[nodiscard]] double take_median();
   [[nodiscard]] double mean() const;
   [[nodiscard]] double quantile(double q) const;
   [[nodiscard]] Summary summarize() const;

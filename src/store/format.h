@@ -116,8 +116,9 @@ inline std::uint64_t read_u64(const std::uint8_t* p) {
 // CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected 0x82F63B78) — the
 // checksum the shard footer stores per shard. Verifying every shard at
 // open is most of a feed read's cost, so the kernel is picked once at run
-// time: the SSE4.2 crc32 instruction (8 bytes per step) when the CPU has
-// it, else the portable slicing-by-8 table kernel. Both give identical
+// time: the SSE4.2 crc32 instruction, as three interleaved streams
+// recombined by zeros operators (docs/STORAGE.md), when the CPU has it,
+// else the portable slicing-by-8 table kernel. Both give identical
 // checksums; `seed` continues a previous call's stream.
 [[nodiscard]] std::uint32_t crc32c(const std::uint8_t* data, std::size_t n,
                                    std::uint32_t seed = 0);

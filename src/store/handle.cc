@@ -55,8 +55,11 @@ StoreHandle::FileIdentity StoreHandle::identify(const std::string& path) {
   id.dev = static_cast<std::uint64_t>(st.st_dev);
   id.ino = static_cast<std::uint64_t>(st.st_ino);
   id.size = static_cast<std::uint64_t>(st.st_size);
-  id.mtime_ns = static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1'000'000'000 +
-                st.st_mtim.tv_nsec;
+  const auto ns = [](const struct timespec& t) {
+    return static_cast<std::int64_t>(t.tv_sec) * 1'000'000'000 + t.tv_nsec;
+  };
+  id.mtime_ns = ns(st.st_mtim);
+  id.ctime_ns = ns(st.st_ctim);
   return id;
 }
 

@@ -8,12 +8,18 @@
 // of per query. Everything in a handle is immutable after construction.
 //
 // A handle never notices on its own that the store changed. It records each
-// feed file's identity (device, inode, size, mtime in ns) from a stat taken
-// BEFORE the file is opened, and changed_on_disk() stats the paths again:
-// a store republished by atomic rename (new inode) or rewritten in place
-// (new size or mtime) shows as changed, and the owner opens a new handle.
+// feed file's identity (device, inode, size, mtime and ctime in ns) from a
+// stat taken BEFORE the file is opened, and changed_on_disk() stats the
+// paths again: a store republished by atomic rename (new inode) or
+// rewritten in place (new size, mtime or ctime) shows as changed, and the
+// owner opens a new handle. The ctime catches a same-size rewrite that puts
+// the old mtime back (cp -p, rsync -t, touch -r): no caller can set ctime.
 // Stat-before-open means a file replaced mid-open reads as changed on the
 // next check — a wasted reopen, never a stale handle.
+//
+// The limit: timestamps move in the file system's clock ticks (often a few
+// ms), so two in-place writes inside one tick, the second after the open,
+// can still leave the identity unchanged and go unseen.
 //
 // Damage is reported exactly as a fresh open reports it: each reader keeps
 // its status and quarantine log. intact() says whether the generation is
@@ -57,6 +63,7 @@ class StoreHandle {
     std::uint64_t ino = 0;
     std::uint64_t size = 0;
     std::int64_t mtime_ns = 0;
+    std::int64_t ctime_ns = 0;
     bool operator==(const FileIdentity&) const = default;
   };
   struct Feed {

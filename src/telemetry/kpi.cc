@@ -80,9 +80,14 @@ std::vector<CellDayRecord> KpiAggregator::finish_day() {
     for (int m = 0; m < kKpiMetricCount; ++m) {
       const std::span<const double> hours{&samples_[slot(c, m, 0)],
                                           static_cast<std::size_t>(n)};
-      row.*kKpiFields[m] = reduction_ == DailyReduction::kMedian
-                               ? stats::median(hours)
-                               : stats::mean(hours);
+      if (reduction_ == DailyReduction::kMedian) {
+        std::array<double, kHoursPerDay> scratch{};  // n <= 24: no heap copy
+        std::copy(hours.begin(), hours.end(), scratch.begin());
+        row.*kKpiFields[m] = stats::median_in_place(
+            std::span<double>{scratch.data(), hours.size()});
+      } else {
+        row.*kKpiFields[m] = stats::mean(hours);
+      }
     }
     rows.push_back(row);
   }

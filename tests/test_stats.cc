@@ -1,8 +1,11 @@
 // Statistics kernel: the reductions every figure depends on.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <random>
 #include <vector>
 
 #include "common/stats.h"
@@ -227,6 +230,40 @@ TEST(SampleBuffer, Lifecycle) {
   buffer.clear();
   EXPECT_TRUE(buffer.empty());
   EXPECT_DOUBLE_EQ(buffer.median(), 0.0);
+}
+
+// median_in_place and SampleBuffer::take_median stand in for median()'s
+// heap copy in the KPI reductions, so they must return the same bits: the
+// same pick between a -0.0 and a +0.0 tie, and 0 when nothing is finite.
+// Samples mix NaN, +-inf, +-0.0 and heavy duplicates, from the 24-hour
+// per-cell-day size up to a large group-day.
+TEST(Median, InPlaceIsBitIdenticalToTheCopyingMedian) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double pool[] = {nan, inf, -inf, 0.0, -0.0, 1.0, -2.5, 3.25};
+  std::mt19937_64 rng{2020};
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 24; ++n) sizes.push_back(n);
+  for (const std::size_t n : {100, 257, 1000, 1999, 2000}) sizes.push_back(n);
+  for (const std::size_t n : sizes) {
+    const int trials = n <= 24 ? 300 : 20;
+    for (int trial = 0; trial < trials; ++trial) {
+      std::vector<double> sample(n);
+      for (auto& v : sample)
+        v = rng() % 3 == 0 ? static_cast<double>(rng() % 7) - 3.0
+                           : pool[rng() % std::size(pool)];
+      const auto want = std::bit_cast<std::uint64_t>(median(sample));
+
+      std::vector<double> scratch = sample;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(median_in_place(scratch)), want)
+          << "n " << n << " trial " << trial;
+      SampleBuffer buffer;
+      for (const double v : sample) buffer.add(v);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(buffer.take_median()), want)
+          << "n " << n << " trial " << trial;
+      ASSERT_TRUE(buffer.empty());
+    }
+  }
 }
 
 // Property sweep: median of any sample sits within [min, max] and the

@@ -117,22 +117,41 @@ TEST(Crc32c, PicksTheHardwareKernelWhenTheCpuHasSse42) {
 TEST(Crc32c, SelectedKernelMatchesPortableOnEveryLengthAndAlignment) {
   // On an SSE4.2 machine crc32c is the hardware kernel, so this is the
   // differential test of the two paths; elsewhere both sides are the
-  // portable kernel and only the seed chaining is tested.
+  // portable kernel and only the seed chaining is tested. The hardware
+  // kernel runs three streams over 8 KiB lanes, then over 256 B lanes, then
+  // one stream, and recombines lanes with zeros operators: besides every
+  // length up to 1100, the lengths straddle each block (3 * 256 and
+  // 3 * 8192, +-8), take two long blocks plus a short block plus a tail,
+  // and fill a whole shard-sized buffer.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 1100; ++n) lengths.push_back(n);
+  for (const std::size_t block : {std::size_t{3 * 256}, std::size_t{3 * 8192}})
+    for (std::size_t n = block - 8; n <= block + 8; ++n) lengths.push_back(n);
+  lengths.push_back(2 * 3 * 8192 + 3 * 256 + 7);
+  lengths.push_back(600'000);
+
   std::mt19937_64 rng{20200405};
-  std::vector<std::uint8_t> buffer(1100 + 8);
+  std::vector<std::uint8_t> buffer(lengths.back() + 8);
   for (auto& b : buffer) b = static_cast<std::uint8_t>(rng());
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t n = 0; n <= 1100; ++n) {
+  for (const std::size_t n : lengths) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
       const std::uint8_t* data = buffer.data() + offset;
       const std::uint32_t want = crc32c_portable(data, n);
       ASSERT_EQ(crc32c(data, n), want) << "offset " << offset << " n " << n;
-      // Seed chaining at a random split continues the same stream on both.
-      const std::size_t split = n == 0 ? 0 : rng() % (n + 1);
-      ASSERT_EQ(crc32c(data + split, n - split, crc32c(data, split)), want)
+      // Seed chaining at a random split continues the same stream, within
+      // each kernel and from either kernel into the other.
+      const std::size_t split = rng() % (n + 1);
+      const std::uint8_t* rest = data + split;
+      const std::size_t left = n - split;
+      const std::uint32_t head = crc32c(data, split);
+      const std::uint32_t portable_head = crc32c_portable(data, split);
+      ASSERT_EQ(crc32c(rest, left, head), want)
           << "offset " << offset << " n " << n << " split " << split;
-      ASSERT_EQ(crc32c_portable(data + split, n - split,
-                                crc32c_portable(data, split)),
-                want)
+      ASSERT_EQ(crc32c_portable(rest, left, portable_head), want)
+          << "offset " << offset << " n " << n << " split " << split;
+      ASSERT_EQ(crc32c(rest, left, portable_head), want)
+          << "offset " << offset << " n " << n << " split " << split;
+      ASSERT_EQ(crc32c_portable(rest, left, head), want)
           << "offset " << offset << " n " << n << " split " << split;
     }
   }

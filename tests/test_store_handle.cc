@@ -6,13 +6,15 @@
 //   * lifetime  — a scanner keeps its borrowed reader (and mapping) alive
 //     after the handle that lent it is gone;
 //   * generations — QueryService picks up a store republished by atomic
-//     rename on its next miss, and never keeps a damaged generation, so it
-//     degrades while the store is damaged and serves again once repaired.
+//     rename, or rewritten in place with its mtime put back, on its next
+//     miss, and never keeps a damaged generation, so it degrades while the
+//     store is damaged and serves again once repaired.
 //
 // The concurrent tests are in the TSan CI slice.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -257,6 +259,40 @@ TEST_F(StoreHandleTest, ServiceDegradesOnEveryRequestUntilRepaired) {
             serve::encode_kpi(*scan_kpi_group_series(
                 dir_a(), region(), telemetry::KpiMetric::kDlVolume)));
   EXPECT_EQ(service.stats().degraded, 2u);
+}
+
+TEST_F(StoreHandleTest, ServiceSeesAnInPlaceRewriteThatRestoresTheMtime) {
+  const std::string dir = clone(dir_a(), "in_place");
+  const std::string kpis = dir + "/" + feed_file_name("kpis");
+  serve::QueryService service(dir, "digest");
+  service.register_grouping("region", region());
+  serve::Query dl;
+  dl.kind = serve::QueryKind::kKpiGroupSeries;
+  dl.metric = telemetry::KpiMetric::kDlVolume;
+  dl.grouping = "region";
+  serve::Query ul = dl;
+  ul.metric = telemetry::KpiMetric::kUlVolume;
+  ASSERT_EQ(service.run(dl).status, serve::QueryStatus::kOk);
+  const StoreHandle handle{dir, kServedFeeds};
+
+  // Same size, same inode, and the mtime put back the way cp -p, rsync -t
+  // or touch -r would: only the ctime moves. The sleep lets the file
+  // system's timestamp tick advance past the opens above.
+  const auto mtime = std::filesystem::last_write_time(kpis);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  {
+    std::fstream file(kpis, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekg(64);
+    const char byte = static_cast<char>(file.get() ^ 0x40);
+    file.seekp(64);
+    file.put(byte);
+    ASSERT_TRUE(file.good());
+  }
+  std::filesystem::last_write_time(kpis, mtime);
+  ASSERT_EQ(std::filesystem::last_write_time(kpis), mtime);
+
+  EXPECT_TRUE(handle.changed_on_disk());
+  EXPECT_EQ(service.run(ul).status, serve::QueryStatus::kDegraded);
 }
 
 }  // namespace
