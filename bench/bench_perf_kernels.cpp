@@ -3,7 +3,8 @@
 //
 // These quantify the per-record cost of the paper's pipeline stages:
 // entropy (Eq 1), radius of gyration (Eq 2), the combined per-user-day
-// metric computation at several top-K settings, the LTE scheduler hour and
+// metric computation at several top-K settings, the LTE scheduler hour,
+// the exact median behind every per-cell and per-group KPI reduction, and
 // home-detection ingestion.
 //
 // With CELLSCOPE_OBS_DIR set, the full google-benchmark report (per-kernel
@@ -11,6 +12,7 @@
 // machine-readable baseline the BENCH_*.json perf trajectory tracks.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -23,7 +25,9 @@
 
 #include "analysis/home_detection.h"
 #include "analysis/mobility_metrics.h"
+#include "analysis/network_metrics.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "obs/runtime.h"
 #include "radio/scheduler.h"
 #include "sim/pool.h"
@@ -385,6 +389,62 @@ void BM_ScanProjectedQuery(benchmark::State& state) {
   std::filesystem::remove(path);
 }
 BENCHMARK(BM_ScanProjectedQuery)->Arg(131'072);
+
+// The exact median in place (stats::median_in_place) at the two sizes the
+// KPI pipeline runs it at: 24 hourly values per cell-day
+// (KpiAggregator::finish_day) and a country-wide group-day of cells
+// (KpiGroupSeriesBuilder::flush_day). Each iteration copies the next of
+// ~64k values' worth of distinct random samples into a scratch buffer, so
+// the branch predictor cannot learn one sample's comparisons. Items =
+// values.
+void BM_Median(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::size_t samples = std::max<std::size_t>(16, 65'536 / n);
+  Rng rng{12};
+  std::vector<double> pool(samples * n);
+  for (auto& v : pool) v = rng.uniform(0.0, 500.0);
+  std::vector<double> scratch(n);
+  std::size_t s = 0;
+  for (auto _ : state) {
+    const auto first = pool.begin() + static_cast<std::ptrdiff_t>(s * n);
+    std::copy(first, first + static_cast<std::ptrdiff_t>(n), scratch.begin());
+    benchmark::DoNotOptimize(stats::median_in_place(scratch));
+    s = s + 1 == samples ? 0 : s + 1;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_Median)->Arg(24)->Arg(1359);
+
+// The per-day median across cells, grouped the way Fig 8 groups by region
+// (an all-group plus five groups covering half the cells), over the rows
+// BM_ScanDecode decodes: the reduction a scan_kpi_group_series call runs
+// after its decode. Items = rows.
+void BM_KpiGroupSeries(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto rows = make_kpi_shaped_rows(n);
+  constexpr std::int64_t kCells = 512;  // layout of make_kpi_shaped_rows
+  analysis::CellGrouping grouping;
+  grouping.names = {"all", "r1", "r2", "r3", "r4", "r5"};
+  grouping.all_group = 0;
+  grouping.group_of.resize(kCells);
+  for (std::int64_t c = 0; c < kCells; ++c)
+    grouping.group_of[static_cast<std::size_t>(c)] =
+        c % 10 < 5 ? static_cast<std::int32_t>(1 + c % 10)
+                   : analysis::CellGrouping::kUngrouped;
+  const auto last_day = static_cast<SimDay>(rows.back().day);
+  for (auto _ : state) {
+    analysis::KpiGroupSeriesBuilder builder{grouping, 0, last_day};
+    for (const auto& r : rows)
+      builder.add(static_cast<SimDay>(r.day),
+                  static_cast<std::uint32_t>(r.cell), r.metrics[0]);
+    const analysis::KpiGroupSeries series = builder.finish();
+    benchmark::DoNotOptimize(series.group(0).value(last_day));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_KpiGroupSeries)->Arg(131'072);
 
 void BM_HomeDetectorObserve(benchmark::State& state) {
   Rng rng{4};

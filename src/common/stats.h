@@ -22,18 +22,18 @@ namespace cellscope::stats {
 [[nodiscard]] double variance(std::span<const double> sample);
 [[nodiscard]] double stddev(std::span<const double> sample);
 
-// Exact median via nth_element on a copy; 0 for an empty sample. Even-sized
+// Exact median by selection on a copy; 0 for an empty sample. Even-sized
 // samples return the midpoint of the two central order statistics.
 // Non-finite values (NaN/Inf) are excluded from the order statistics: NaN
-// comparisons would make nth_element UB, so gap markers that leak in as
-// NaN are treated as missing data, never as data.
+// comparisons break the strict weak ordering selection relies on, so gap
+// markers that leak in as NaN are treated as missing data, never as data.
 [[nodiscard]] double median(std::span<const double> sample);
 
 // median() without the copy, for hot loops that own a scratch sample: it
-// reorders `values` and overwrites its non-finite entries. The finite values
-// reach nth_element in the same order as median()'s copy, so the result is
-// bit-identical to median() on the original values, down to which of -0.0
-// and +0.0 is returned.
+// reorders `values` and overwrites its non-finite entries. The result
+// depends only on the multiset of finite values (a +-0 tie between the
+// central order statistics always reads +0.0), so it is bit-identical to
+// median() on the original values.
 [[nodiscard]] double median_in_place(std::span<double> values);
 
 // Linear-interpolated quantile, q in [0, 1]; 0 for an empty sample.

@@ -440,17 +440,13 @@ ScanOptions whole_shards() {
 }
 
 // The one KPI row decode: a whole-shard batch of every kpis column into
-// `rows`. False when a row holds a negative cell or a day outside SimDay:
-// the caller then rejects the shard whole.
-bool decode_kpi_rows(const ScanBatch& batch,
+// `rows`. The scanner has already checked each row's day and cell against
+// the kpis schema, so both narrow without loss.
+void decode_kpi_rows(const ScanBatch& batch,
                      std::vector<telemetry::CellDayRecord>& rows) {
   const auto days = batch.column(0).i64;
   const auto cells = batch.column(1).i64;
   const std::size_t n = batch.rows();
-  for (std::size_t i = 0; i < n; ++i)
-    if (cells[i] < 0 || days[i] < std::numeric_limits<SimDay>::min() ||
-        days[i] > std::numeric_limits<SimDay>::max())
-      return false;
   rows.resize(n);  // every field is written below
   for (std::size_t i = 0; i < n; ++i) {
     rows[i].day = static_cast<SimDay>(days[i]);
@@ -462,7 +458,6 @@ bool decode_kpi_rows(const ScanBatch& batch,
     for (std::size_t i = 0; i < n; ++i)
       rows[i].*telemetry::kKpiFields[m] = values[i];
   }
-  return true;
 }
 
 // Reads `feed` one whole shard per batch and hands each batch to `apply`,
@@ -518,9 +513,8 @@ std::optional<std::vector<telemetry::CellDayRecord>> DatasetWriter::resume_kpis(
                       feed_schema("kpis"), whole_shards()};
   ScanBatch batch;
   while (out.size() < rows && scanner.next(batch)) {
-    if (scanner.totals().shards_quarantined > 0 ||
-        !decode_kpi_rows(batch, shard_rows))
-      return std::nullopt;
+    if (scanner.totals().shards_quarantined > 0) return std::nullopt;
+    decode_kpi_rows(batch, shard_rows);
     const std::size_t take = std::min<std::size_t>(shard_rows.size(),
                                                    rows - out.size());
     out.insert(out.end(), shard_rows.begin(),
@@ -549,18 +543,15 @@ ScanStats scan_kpis(
     const std::string& dir,
     const std::function<void(const telemetry::CellDayRecord&)>& row) {
   // Single pass over the feed file via the scanner: each shard is decoded
-  // exactly once, and a shard failing the KPI row checks is skipped whole,
-  // as read_dataset skips it.
+  // exactly once, and a shard failing the KPI row checks is quarantined
+  // whole, as read_dataset sees it.
   ScanStats stats;
   FeedScanner scanner =
       FeedScanner::open(dir, feed_schema("kpis"), whole_shards());
   ScanBatch batch;
   std::vector<telemetry::CellDayRecord> rows;
   while (scanner.next(batch)) {
-    if (!decode_kpi_rows(batch, rows)) {
-      ++stats.shards_quarantined;
-      continue;
-    }
+    decode_kpi_rows(batch, rows);
     for (const auto& r : rows) row(r);
     stats.rows += rows.size();
   }
@@ -668,7 +659,7 @@ ReadOutcome read_dataset(const std::string& dir,
       day_batch = {};
     };
     load_feed(store, "kpis", out, [&](const ScanBatch& b) {
-      if (!decode_kpi_rows(b, shard_rows)) return false;
+      decode_kpi_rows(b, shard_rows);
       for (const auto& r : shard_rows) {
         if (!day_batch.empty() && r.day != day_batch.front().day) flush();
         if (day_batch.empty() && r.day <= last_flushed) {
@@ -725,9 +716,6 @@ ReadOutcome read_dataset(const std::string& dir,
 
   load_feed(store, "homes", out, [&](const ScanBatch& b) {
     const auto users = b.column(0).i64;
-    if (std::any_of(users.begin(), users.end(),
-                    [](std::int64_t user) { return user < 0; }))
-      return false;
     for (std::size_t i = 0; i < b.rows(); ++i) {
       analysis::HomeRecord h;
       h.user = UserId{static_cast<std::uint32_t>(users[i])};
@@ -744,9 +732,6 @@ ReadOutcome read_dataset(const std::string& dir,
 
   load_feed(store, "validation", out, [&](const ScanBatch& b) {
     const auto lads = b.column(0).i64;
-    if (std::any_of(lads.begin(), lads.end(),
-                    [](std::int64_t lad) { return lad < 0; }))
-      return false;
     for (std::size_t i = 0; i < b.rows(); ++i) {
       analysis::LadValidationPoint p;
       p.lad = LadId{static_cast<std::uint32_t>(lads[i])};

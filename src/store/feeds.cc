@@ -14,8 +14,9 @@ using E = Encoding;
 FeedSchema make_kpi_schema() {
   // day, cell, then the 11 KPI metrics as raw IEEE 754 bits. Column names
   // mirror the CellDayRecord fields so projections read naturally.
-  std::vector<FeedColumn> columns{{"day", E::kDeltaZigzagVarint},
-                                  {"cell", E::kDeltaZigzagVarint}};
+  std::vector<FeedColumn> columns{
+      {"day", E::kDeltaZigzagVarint},
+      {"cell", E::kDeltaZigzagVarint, 0, kMaxU32Id}};
   static constexpr const char* kMetricColumns[telemetry::kKpiMetricCount] = {
       "dl_volume_mb",        "ul_volume_mb",
       "active_dl_users",     "tti_utilization",
@@ -24,7 +25,8 @@ FeedSchema make_kpi_schema() {
       "simultaneous_voice_users", "voice_dl_loss_pct",
       "voice_ul_loss_pct"};
   for (const char* name : kMetricColumns) columns.push_back({name, E::kRaw64});
-  return FeedSchema{"kpis", std::move(columns), /*day_column=*/0};
+  return FeedSchema{"kpis", std::move(columns), /*day_column=*/0,
+                    /*day_ordered=*/true};
 }
 
 FeedSchema make_signaling_schema() {
@@ -45,14 +47,14 @@ std::map<std::string, FeedSchema, std::less<>> make_registry() {
   add(make_kpi_schema());
   add(make_signaling_schema());
   add(FeedSchema{"homes",
-                 {{"user", E::kDeltaZigzagVarint},
+                 {{"user", E::kDeltaZigzagVarint, 0, kMaxU32Id},
                   {"home_site", E::kVarint},
                   {"home_district", E::kVarint},
                   {"home_county", E::kVarint},
                   {"night_hours", E::kRaw64},
                   {"nights_observed", E::kVarint}}});
   add(FeedSchema{"validation",
-                 {{"lad", E::kDeltaZigzagVarint},
+                 {{"lad", E::kDeltaZigzagVarint, 0, kMaxU32Id},
                   {"census_population", E::kDeltaZigzagVarint},
                   {"inferred_residents", E::kDeltaZigzagVarint}}});
   add(FeedSchema{"series",

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -73,7 +74,16 @@ enum ScalarId : std::uint64_t {
 struct FeedColumn {
   std::string name;
   Encoding encoding = Encoding::kRaw64;
+  // The values a row of an integer column may hold. The scanner
+  // quarantines a shard holding any other, so no reader narrows an id that
+  // does not fit its type.
+  std::int64_t min_value = std::numeric_limits<std::int64_t>::min();
+  std::int64_t max_value = std::numeric_limits<std::int64_t>::max();
 };
+
+// The id range of a column holding a 32-bit unsigned id (cells, users, ...).
+inline constexpr std::int64_t kMaxU32Id =
+    std::numeric_limits<std::uint32_t>::max();
 
 class FeedSchema {
  public:
@@ -81,10 +91,11 @@ class FeedSchema {
 
   FeedSchema() = default;
   FeedSchema(std::string feed, std::vector<FeedColumn> columns,
-             std::size_t day_column = npos)
+             std::size_t day_column = npos, bool day_ordered = false)
       : feed_(std::move(feed)),
         columns_(std::move(columns)),
-        day_column_(day_column) {}
+        day_column_(day_column),
+        day_ordered_(day_ordered) {}
 
   [[nodiscard]] const std::string& feed() const { return feed_; }
   [[nodiscard]] const std::vector<FeedColumn>& columns() const {
@@ -96,6 +107,11 @@ class FeedSchema {
   // npos for feeds whose rows are not day-keyed (homes, validation,
   // scalars). Day-range predicates require a day column.
   [[nodiscard]] std::size_t day_column() const { return day_column_; }
+
+  // True when the feed's rows are stored with days non-decreasing, within
+  // each shard and from shard to shard (the KPI feed, which readers reduce
+  // one day at a time).
+  [[nodiscard]] bool day_ordered() const { return day_ordered_; }
 
   // Index of the column named `name`, or npos.
   [[nodiscard]] std::size_t column_index(std::string_view name) const {
@@ -116,6 +132,7 @@ class FeedSchema {
   std::string feed_;
   std::vector<FeedColumn> columns_;
   std::size_t day_column_ = npos;
+  bool day_ordered_ = false;
 };
 
 // The schema of one of the dataset_feeds(); throws std::out_of_range on an

@@ -104,11 +104,18 @@ inline std::uint32_t read_u32(const std::uint8_t* p) {
   return value;
 }
 
+// Written out byte by byte rather than as a loop: the compiler turns this
+// form into one unaligned load on a little-endian host, and every kRaw64
+// value a scan decodes goes through it.
 inline std::uint64_t read_u64(const std::uint8_t* p) {
-  std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i)
-    value |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return value;
+  return static_cast<std::uint64_t>(p[0]) |
+         static_cast<std::uint64_t>(p[1]) << 8 |
+         static_cast<std::uint64_t>(p[2]) << 16 |
+         static_cast<std::uint64_t>(p[3]) << 24 |
+         static_cast<std::uint64_t>(p[4]) << 32 |
+         static_cast<std::uint64_t>(p[5]) << 40 |
+         static_cast<std::uint64_t>(p[6]) << 48 |
+         static_cast<std::uint64_t>(p[7]) << 56;
 }
 
 // --------------------------------------------------------------- CRC32C

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <utility>
 
 #include "obs/runtime.h"
@@ -12,26 +13,35 @@ namespace cellscope::store {
 namespace {
 
 // Sequential full-shard decode of an integer column (kVarint surfaces as a
-// non-negative int64, kDeltaZigzagVarint natively). False on overrun.
-bool decode_i64_column(const ColumnView& column, std::size_t rows,
-                       std::vector<std::int64_t>& out) {
-  out.clear();
-  out.reserve(rows);
-  ColumnCursor cursor{column};
-  if (column.encoding == Encoding::kVarint) {
-    for (std::size_t i = 0; i < rows; ++i) {
-      std::uint64_t v = 0;
-      if (!cursor.next_u64(v)) return false;
-      out.push_back(static_cast<std::int64_t>(v));
-    }
-    return true;
-  }
+// non-negative int64, kDeltaZigzagVarint natively) into the `rows` slots
+// at `out`. Day and cell deltas almost always fit one varint byte, so a
+// one-byte varint is decoded inline and only longer ones go through
+// get_varint. False on overrun, or when a value lies outside [lo, hi].
+template <bool kDelta>
+bool decode_i64_rows(const ColumnView& column, std::size_t rows,
+                     std::int64_t lo, std::int64_t hi, std::int64_t* out) {
+  const std::uint8_t* p = column.data;
+  const std::uint8_t* const end = column.data + column.bytes;
+  std::uint64_t prev = 0;  // unsigned: crafted deltas wrap instead of UB
+  std::int64_t min = std::numeric_limits<std::int64_t>::max();
+  std::int64_t max = std::numeric_limits<std::int64_t>::min();
   for (std::size_t i = 0; i < rows; ++i) {
-    std::int64_t v = 0;
-    if (!cursor.next_i64(v)) return false;
-    out.push_back(v);
+    std::uint64_t raw = 0;
+    if (p < end && *p < 0x80) {
+      raw = *p++;
+    } else if (!get_varint(p, end, raw)) {
+      return false;
+    }
+    if constexpr (kDelta) {
+      prev += static_cast<std::uint64_t>(zigzag_decode(raw));
+      raw = prev;
+    }
+    const auto v = static_cast<std::int64_t>(raw);
+    out[i] = v;
+    min = std::min(min, v);
+    max = std::max(max, v);
   }
-  return true;
+  return min >= lo && max <= hi;  // also true for zero rows
 }
 
 // kBytes payloads frame each row as [varint length][bytes]; the views
@@ -215,9 +225,10 @@ bool FeedScanner::stage_next_shard() {
       // bit-flipped shard can never leak partial rows into a batch.
       staged_rows_ = 0;
       staged_pos_ = 0;
-      quarantine("row decode failed");
+      quarantine("row decode or row checks failed");
       continue;
     }
+    if (schema_.day_ordered()) ordered_floor_ = shard.max_day;
     ++totals_.shards_scanned;
     totals_.rows_decoded += shard.rows;
     totals_.rows_emitted += staged_rows_;
@@ -247,18 +258,14 @@ bool FeedScanner::decode_shard(const ShardView& shard) {
   bool have_day = false;
   bool have_key = false;
   if (day_filter) {
-    const ColumnView& column = shard.columns[day_col];
-    if (!decode_i64_column(column, rows, scratch_day_)) return false;
-    totals_.bytes_decoded += column.bytes;
+    if (!decode_checked(shard, day_col, scratch_day_)) return false;
     have_day = true;
   }
   if (keyed) {
-    const ColumnView& column = shard.columns[key_col_];
     if (key_col_ == day_col && have_day) {
       scratch_key_ = scratch_day_;
-    } else {
-      if (!decode_i64_column(column, rows, scratch_key_)) return false;
-      totals_.bytes_decoded += column.bytes;
+    } else if (!decode_checked(shard, key_col_, scratch_key_)) {
+      return false;
     }
     have_key = true;
   }
@@ -287,15 +294,14 @@ bool FeedScanner::decode_shard(const ShardView& shard) {
     if (column.encoding == Encoding::kRaw64) {
       if (!raw64_payload_valid(column, rows)) return false;
       auto& out = staged_f64_[j];
-      out.clear();
       if (identity) {
-        out.reserve(rows);
-        for (std::size_t i = 0; i < rows; ++i) out.push_back(raw64_at(column, i));
+        out.resize(rows);
+        for (std::size_t i = 0; i < rows; ++i) out[i] = raw64_at(column, i);
         totals_.bytes_decoded += column.bytes;
       } else {
-        out.reserve(selection_.size());
-        for (const std::size_t i : selection_)
-          out.push_back(raw64_at(column, i));
+        out.resize(selection_.size());
+        for (std::size_t k = 0; k < selection_.size(); ++k)
+          out[k] = raw64_at(column, selection_[k]);
         totals_.bytes_decoded += selection_.size() * 8;
       }
       continue;
@@ -322,8 +328,7 @@ bool FeedScanner::decode_shard(const ShardView& shard) {
     } else if (ci == key_col_ && have_key) {
       decoded = &scratch_key_;
     } else {
-      if (!decode_i64_column(column, rows, scratch_i64_)) return false;
-      totals_.bytes_decoded += column.bytes;
+      if (!decode_checked(shard, ci, scratch_i64_)) return false;
       decoded = &scratch_i64_;
     }
     auto& out = staged_i64_[j];
@@ -339,6 +344,32 @@ bool FeedScanner::decode_shard(const ShardView& shard) {
   }
   staged_rows_ = identity ? rows : selection_.size();
   return true;
+}
+
+bool FeedScanner::decode_checked(const ShardView& shard, std::size_t ci,
+                                 std::vector<std::int64_t>& out) {
+  const FeedColumn& spec = schema_.columns()[ci];
+  const ColumnView& column = shard.columns[ci];
+  const bool day = ci == schema_.day_column();
+  std::int64_t lo = spec.min_value;
+  std::int64_t hi = spec.max_value;
+  if (day) {
+    lo = std::max({lo, shard.min_day,
+                   std::int64_t{std::numeric_limits<SimDay>::min()}});
+    hi = std::min({hi, shard.max_day,
+                   std::int64_t{std::numeric_limits<SimDay>::max()}});
+  }
+  const auto rows = static_cast<std::size_t>(shard.rows);
+  out.resize(rows);
+  const bool decoded =
+      column.encoding == Encoding::kVarint
+          ? decode_i64_rows<false>(column, rows, lo, hi, out.data())
+          : decode_i64_rows<true>(column, rows, lo, hi, out.data());
+  if (!decoded) return false;
+  totals_.bytes_decoded += column.bytes;
+  if (!day || !schema_.day_ordered() || out.empty()) return true;
+  return out.front() >= ordered_floor_ &&
+         std::is_sorted(out.begin(), out.end());
 }
 
 void FeedScanner::quarantine(const std::string& reason) {
@@ -398,27 +429,30 @@ std::optional<analysis::KpiGroupSeries> scan_kpi_group_series(
   if (!expected) return std::nullopt;
 
   const FeedSchema& schema = feed_schema("kpis");
-  const bool has_all =
-      grouping.all_group != analysis::CellGrouping::kUngrouped;
-  std::vector<std::uint8_t> mask(grouping.group_of.size(), 0);
-  for (std::size_t i = 0; i < mask.size(); ++i)
-    mask[i] = (has_all ||
-               grouping.group_of[i] != analysis::CellGrouping::kUngrouped)
-                  ? 1
-                  : 0;
-
   ScanOptions options;
   options.columns = {"day", "cell",
                      schema.columns()[kpi_metric_column(metric)].name};
   options.predicate.min_day = min_day;
   options.predicate.max_day = max_day;
-  options.predicate.key_column = "cell";
-  options.predicate.key_mask = &mask;
+  // With an all-group every cell counts, so no cell mask: whole shards
+  // take the scanner's identity path. Otherwise only grouped cells pass.
+  std::vector<std::uint8_t> mask;
+  if (grouping.all_group == analysis::CellGrouping::kUngrouped) {
+    mask.resize(grouping.group_of.size());
+    for (std::size_t i = 0; i < mask.size(); ++i)
+      mask[i] = grouping.group_of[i] != analysis::CellGrouping::kUngrouped;
+    options.predicate.key_column = "cell";
+    options.predicate.key_mask = &mask;
+  }
   FeedScanner scanner = FeedScanner::open(store, schema, std::move(options));
   if (!scanner.ok() || scanner.totals().shards_quarantined > 0)
     return std::nullopt;
   if (scanner.footer_rows() != *expected) return std::nullopt;
   if (scanner.footer_rows() == 0) return analysis::KpiGroupSeries{};
+  // The footer days narrow to SimDay below; one that does not fit is damage.
+  if (scanner.footer_min_day() < std::numeric_limits<SimDay>::min() ||
+      scanner.footer_max_day() > std::numeric_limits<SimDay>::max())
+    return std::nullopt;
 
   const auto first_day = static_cast<SimDay>(
       std::max<std::int64_t>(scanner.footer_min_day(), min_day));
@@ -426,6 +460,9 @@ std::optional<analysis::KpiGroupSeries> scan_kpi_group_series(
       std::min<std::int64_t>(scanner.footer_max_day(), max_day));
   if (first_day > last_day) return analysis::KpiGroupSeries{};
 
+  // Every served row passed the scanner's row checks: its day lies in its
+  // shard's footer range (so in [first_day, last_day]), days never go
+  // back, and its cell fits 32 bits.
   analysis::KpiGroupSeriesBuilder builder{grouping, first_day, last_day,
                                           reduction};
   ScanBatch batch;

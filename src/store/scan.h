@@ -210,6 +210,9 @@ class FeedScanner {
   std::vector<std::int64_t> scratch_key_;
   std::vector<std::int64_t> scratch_i64_;
   std::vector<std::size_t> selection_;
+  // Day-ordered feeds: the day no row of a later shard may precede (the
+  // last decoded shard's max_day).
+  std::int64_t ordered_floor_ = std::numeric_limits<std::int64_t>::min();
   std::size_t staged_rows_ = 0;
   std::size_t staged_pos_ = 0;
   bool metrics_recorded_ = false;
@@ -218,6 +221,13 @@ class FeedScanner {
   void start(std::span<const ShardView> shards);
   bool stage_next_shard();
   bool decode_shard(const ShardView& shard);
+  // Decodes integer column `ci` of `shard` into `out` and checks the rows
+  // against what the schema promises: the column's value bounds, and for
+  // the day column a SimDay inside the shard's own day range, in order
+  // (from the previous shard on) when the feed is day-ordered. False
+  // quarantines the shard.
+  bool decode_checked(const ShardView& shard, std::size_t ci,
+                      std::vector<std::int64_t>& out);
   void quarantine(const std::string& reason);
   void record_metrics();
 };

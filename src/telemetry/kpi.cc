@@ -97,14 +97,18 @@ std::vector<CellDayRecord> KpiAggregator::finish_day() {
 void KpiStore::add_day(std::vector<CellDayRecord> rows) {
   if (rows.empty()) return;
   const SimDay day = rows.front().day;
-  if (records_.empty()) {
-    first_day_ = day;
-  } else if (day <= last_day_) {
+  if (!records_.empty() && day <= last_day_) {
     // Gaps are allowed (real exports can miss days); going backwards or
     // splitting one day across add_day calls is a bug.
     throw std::logic_error("KpiStore: days must be added in increasing order");
   }
-  last_day_ = day;
+  // The range covers every row, even in a batch that mixes days: readers
+  // size per-day series from it and index them by row day.
+  const auto [lo, hi] = std::minmax_element(
+      rows.begin(), rows.end(),
+      [](const CellDayRecord& a, const CellDayRecord& b) { return a.day < b.day; });
+  first_day_ = records_.empty() ? lo->day : std::min(first_day_, lo->day);
+  last_day_ = hi->day;
   records_.insert(records_.end(), rows.begin(), rows.end());
 }
 

@@ -110,6 +110,7 @@ class KpiStore {
     return records_;
   }
   [[nodiscard]] bool empty() const { return records_.empty(); }
+  // The smallest and largest day of any stored row.
   [[nodiscard]] SimDay first_day() const { return first_day_; }
   [[nodiscard]] SimDay last_day() const { return last_day_; }
 

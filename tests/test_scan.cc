@@ -523,6 +523,33 @@ TEST_F(ScanEngine, CorruptedShardScanAgreesWithDegradedReplay) {
 
 // ------------------------------------------------- figure adapters
 
+// Bitwise equality of two KPI-group series: every group's daily sums and
+// counts, cells reporting, and the weekly-delta line the figures plot.
+void expect_same_series(const analysis::KpiGroupSeries& scanned,
+                        const analysis::KpiGroupSeries& replayed) {
+  ASSERT_EQ(scanned.group_count(), replayed.group_count());
+  for (std::size_t g = 0; g < replayed.group_count(); ++g) {
+    const DailySeries& a = scanned.group(g);
+    const DailySeries& b = replayed.group(g);
+    ASSERT_EQ(a.first_day(), b.first_day());
+    ASSERT_EQ(a.last_day(), b.last_day());
+    for (SimDay d = a.first_day(); d <= a.last_day(); ++d) {
+      EXPECT_EQ(a.count(d), b.count(d));
+      EXPECT_EQ(double_bits(a.day_sum(d)), double_bits(b.day_sum(d)))
+          << "group " << g << " day " << d;
+      EXPECT_EQ(scanned.cells_reporting(g, d), replayed.cells_reporting(g, d))
+          << "group " << g << " day " << d;
+    }
+    const auto wa = scanned.weekly_delta(g, 9, 9, 19);
+    const auto wb = replayed.weekly_delta(g, 9, 9, 19);
+    ASSERT_EQ(wa.size(), wb.size());
+    for (std::size_t i = 0; i < wa.size(); ++i) {
+      EXPECT_EQ(wa[i].week, wb[i].week);
+      EXPECT_EQ(double_bits(wa[i].value), double_bits(wb[i].value));
+    }
+  }
+}
+
 TEST_F(ScanEngine, AdaptersMatchInMemoryPipelinesBitwise) {
   const auto grouping =
       analysis::group_by_region(*live().geography, *live().topology);
@@ -530,29 +557,11 @@ TEST_F(ScanEngine, AdaptersMatchInMemoryPipelinesBitwise) {
   for (const auto metric : {telemetry::KpiMetric::kDlVolume,
                             telemetry::KpiMetric::kConnectedUsers,
                             telemetry::KpiMetric::kVoiceDlLoss}) {
+    SCOPED_TRACE("metric " + std::to_string(static_cast<int>(metric)));
     const auto scanned = scan_kpi_group_series(dir(), grouping, metric);
     ASSERT_TRUE(scanned.has_value());
-    const analysis::KpiGroupSeries replayed{live().kpis, grouping, metric};
-    ASSERT_EQ(scanned->group_count(), replayed.group_count());
-    for (std::size_t g = 0; g < replayed.group_count(); ++g) {
-      const DailySeries& a = scanned->group(g);
-      const DailySeries& b = replayed.group(g);
-      ASSERT_EQ(a.first_day(), b.first_day());
-      ASSERT_EQ(a.last_day(), b.last_day());
-      for (SimDay d = a.first_day(); d <= a.last_day(); ++d) {
-        EXPECT_EQ(a.count(d), b.count(d));
-        EXPECT_EQ(double_bits(a.day_sum(d)), double_bits(b.day_sum(d)))
-            << "metric " << static_cast<int>(metric) << " group " << g
-            << " day " << d;
-      }
-      const auto wa = scanned->weekly_delta(g, 9, 9, 19);
-      const auto wb = replayed.weekly_delta(g, 9, 9, 19);
-      ASSERT_EQ(wa.size(), wb.size());
-      for (std::size_t i = 0; i < wa.size(); ++i) {
-        EXPECT_EQ(wa[i].week, wb[i].week);
-        EXPECT_EQ(double_bits(wa[i].value), double_bits(wb[i].value));
-      }
-    }
+    expect_same_series(*scanned,
+                       analysis::KpiGroupSeries{live().kpis, grouping, metric});
   }
 
   const SimDay first = live().config.first_day();
@@ -576,6 +585,85 @@ TEST_F(ScanEngine, AdaptersMatchInMemoryPipelinesBitwise) {
   const auto row_count = scan_scalar_u64(dir(), ScalarId::kKpiRowCount);
   ASSERT_TRUE(row_count.has_value());
   EXPECT_EQ(*row_count, live().kpis.records().size());
+}
+
+// A grouping whose map stops short of the store's cell ids still counts
+// every cell in its all-group, as KpiGroupSeriesBuilder does on the
+// KpiStore path; a cell mask sized to the map used to drop the rest.
+TEST_F(ScanEngine, AllGroupShorterThanTheCellRangeCountsEveryCell) {
+  auto grouping =
+      analysis::group_by_region(*live().geography, *live().topology);
+  ASSERT_NE(grouping.all_group, analysis::CellGrouping::kUngrouped);
+  std::uint32_t max_cell = 0;
+  for (const auto& r : live().kpis.records())
+    max_cell = std::max(max_cell, r.cell.value());
+  grouping.group_of.resize(max_cell / 2);
+  for (const auto metric : {telemetry::KpiMetric::kDlVolume,
+                            telemetry::KpiMetric::kConnectedUsers}) {
+    SCOPED_TRACE("metric " + std::to_string(static_cast<int>(metric)));
+    const auto scanned = scan_kpi_group_series(dir(), grouping, metric);
+    ASSERT_TRUE(scanned.has_value());
+    expect_same_series(*scanned,
+                       analysis::KpiGroupSeries{live().kpis, grouping, metric});
+  }
+}
+
+// An integer column (either varint encoding) whose payload ends inside its
+// last row: its final varint cut short, or the column one byte shorter
+// than its rows while the byte after it is readable and would complete
+// them. Both with a one-byte and a three-byte final varint. The damaged
+// shard is quarantined and none of its rows is served; the intact shards
+// around it are.
+TEST(ScanSynthetic, IntegerColumnEndingInsideItsLastRowIsQuarantined) {
+  constexpr std::size_t kRows = 6;
+  for (const Encoding encoding :
+       {Encoding::kVarint, Encoding::kDeltaZigzagVarint}) {
+    for (const std::int64_t last : {std::int64_t{5}, std::int64_t{100'000}}) {
+      std::vector<std::int64_t> values = {1, 2, 300, 4, 3, last};
+      std::vector<std::uint8_t> payload;
+      std::int64_t prev = 0;
+      for (const std::int64_t v : values) {
+        put_varint(payload, encoding == Encoding::kVarint
+                                ? static_cast<std::uint64_t>(v)
+                                : zigzag_encode(v - prev));
+        prev = v;
+      }
+      const std::size_t last_width = last < 64 ? 1 : 3;
+      ASSERT_GT(payload.size(), last_width);
+      for (const bool cut : {true, false}) {
+        SCOPED_TRACE(std::string(cut ? "cut" : "one byte short") +
+                     " encoding " + std::to_string(static_cast<int>(encoding)) +
+                     " last " + std::to_string(last));
+        // A cut payload ends where its buffer ends; a short one is a view
+        // that stops one byte before the intact payload's last byte.
+        const std::vector<std::uint8_t> damaged(
+            payload.begin(), payload.end() - (cut ? 1 : 0));
+        const auto view = [&](const std::vector<std::uint8_t>& bytes,
+                              std::size_t size) {
+          ShardView shard;
+          shard.rows = kRows;
+          shard.columns.push_back({encoding, bytes.data(), size});
+          return shard;
+        };
+        const std::vector<ShardView> shards = {
+            view(payload, payload.size()),
+            view(cut ? damaged : payload, payload.size() - 1),
+            view(payload, payload.size())};
+        const FeedSchema schema{"cut", {{"v", encoding}}};
+        FeedScanner scanner{std::span<const ShardView>{shards}, schema, {}};
+        ASSERT_TRUE(scanner.ok()) << scanner.error();
+        std::vector<std::int64_t> served;
+        ScanBatch batch;
+        while (scanner.next(batch))
+          served.insert(served.end(), batch.column(0).i64.begin(),
+                        batch.column(0).i64.end());
+        EXPECT_EQ(scanner.totals().shards_quarantined, 1u);
+        std::vector<std::int64_t> intact = values;
+        intact.insert(intact.end(), values.begin(), values.end());
+        EXPECT_EQ(served, intact);
+      }
+    }
+  }
 }
 
 // ------------------------------------------------- accounting contracts

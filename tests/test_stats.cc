@@ -1,17 +1,50 @@
 // Statistics kernel: the reductions every figure depends on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
 
 namespace cellscope::stats {
 namespace {
+
+// The reference selection: the nth_element + min_element kernel the
+// quantiles ran on before the branch-free quickselect, kept verbatim as the
+// oracle the production kernel must match bit for bit. Finite values only.
+double quantile_oracle(std::span<double> scratch, double q) {
+  if (scratch.empty()) return 0.0;
+  q = std::clamp(q, 0.0, 1.0);
+  const double pos = q * static_cast<double>(scratch.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const auto hi = std::min(lo + 1, scratch.size() - 1);
+  std::nth_element(scratch.begin(), scratch.begin() + static_cast<std::ptrdiff_t>(lo),
+                   scratch.end());
+  const double lo_value = scratch[lo];
+  if (hi == lo) return lo_value;
+  // nth_element leaves [lo+1, end) all >= lo_value; the hi-th order statistic
+  // is the minimum of that suffix.
+  const double hi_value =
+      *std::min_element(scratch.begin() + static_cast<std::ptrdiff_t>(lo) + 1,
+                        scratch.end());
+  const double frac = pos - static_cast<double>(lo);
+  return lo_value + (hi_value - lo_value) * frac;
+}
+
+// The oracle on a copy of `sample`'s finite values, as bits.
+std::uint64_t oracle_bits(const std::vector<double>& sample, double q) {
+  std::vector<double> finite;
+  for (const double v : sample)
+    if (std::isfinite(v)) finite.push_back(v);
+  return std::bit_cast<std::uint64_t>(quantile_oracle(finite, q));
+}
 
 TEST(Mean, Basics) {
   EXPECT_DOUBLE_EQ(mean(std::vector<double>{}), 0.0);
@@ -262,6 +295,112 @@ TEST(Median, InPlaceIsBitIdenticalToTheCopyingMedian) {
       ASSERT_EQ(std::bit_cast<std::uint64_t>(buffer.take_median()), want)
           << "n " << n << " trial " << trial;
       ASSERT_TRUE(buffer.empty());
+    }
+  }
+}
+
+// The production kernel against the oracle on the pool of
+// InPlaceIsBitIdenticalToTheCopyingMedian: NaN, +-inf, +-0.0 and heavy
+// duplicates, so ties, the equal band and the +-0 rule are all exercised,
+// through median, median_in_place and quantile away from the median.
+TEST(Median, SelectionMatchesTheNthElementOracle) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double pool[] = {nan, inf, -inf, 0.0, -0.0, 1.0, -2.5, 3.25};
+  std::mt19937_64 rng{2020};
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 24; ++n) sizes.push_back(n);
+  for (const std::size_t n : {100, 257, 1000, 1999, 2000}) sizes.push_back(n);
+  for (const std::size_t n : sizes) {
+    const int trials = n <= 24 ? 300 : 20;
+    for (int trial = 0; trial < trials; ++trial) {
+      std::vector<double> sample(n);
+      for (auto& v : sample)
+        v = rng() % 3 == 0 ? static_cast<double>(rng() % 7) - 3.0
+                           : pool[rng() % std::size(pool)];
+      const std::uint64_t want = oracle_bits(sample, 0.5);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(median(sample)), want)
+          << "n " << n << " trial " << trial;
+      std::vector<double> scratch = sample;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(median_in_place(scratch)), want)
+          << "n " << n << " trial " << trial;
+      // q = 1 with n > 1 returns the maximum uninterpolated, so its sign
+      // on a +-0 tie is whatever the selection left; only its value is
+      // pinned there.
+      for (const double q : {0.0, 0.1, 0.25, 0.75, 0.9, 1.0}) {
+        const double got = quantile(sample, q);
+        const std::uint64_t expected = oracle_bits(sample, q);
+        if (q == 1.0 && n > 1)
+          ASSERT_EQ(got, std::bit_cast<double>(expected));
+        else
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got), expected)
+              << "n " << n << " q " << q << " trial " << trial;
+      }
+    }
+  }
+}
+
+// An input that makes every median-of-3 pivot of the quickselect the
+// second-smallest value of its range, so each round drops only two values
+// and the round budget runs out: the nth_element fallback must finish the
+// selection exactly. Built by replaying the partition on value-free
+// labels, assigning the two smallest values as each round picks them.
+std::vector<double> median_of_3_killer(std::size_t n) {
+  std::vector<std::size_t> at(n);  // label at each position
+  for (std::size_t i = 0; i < n; ++i) at[i] = i;
+  std::vector<double> value(n, -1.0);
+  double next_small = 0.0;
+  std::size_t left = 0;
+  // Stop while the quartile still lies right of the dropped values.
+  while (n - left > 8 && left + 2 < (n - 1) / 4) {
+    const std::size_t lo_label = at[left];
+    const std::size_t pivot_label = at[left + (n - left) / 2];
+    value[lo_label] = next_small++;
+    value[pivot_label] = next_small++;
+    std::size_t end = left;
+    for (std::size_t i = left; i < n; ++i) {  // values < pivot to the front
+      const std::size_t x = at[i];
+      at[i] = at[end];
+      at[end] = x;
+      end += x == lo_label ? 1 : 0;
+    }
+    for (std::size_t i = end; i < n; ++i) {  // then the band equal to it
+      const std::size_t x = at[i];
+      at[i] = at[end];
+      at[end] = x;
+      end += x == pivot_label ? 1 : 0;
+    }
+    left = end;
+  }
+  for (double& v : value)
+    if (v < 0.0) v = next_small++;
+  return value;
+}
+
+TEST(Median, AdversarialOrdersMatchTheOracle) {
+  for (const std::size_t n : {9, 10, 63, 100, 1359, 4096, 4097}) {
+    std::vector<std::pair<std::string, std::vector<double>>> orders;
+    std::vector<double> sorted(n);
+    for (std::size_t i = 0; i < n; ++i) sorted[i] = static_cast<double>(i);
+    orders.emplace_back("sorted", sorted);
+    orders.emplace_back("reversed",
+                        std::vector<double>(sorted.rbegin(), sorted.rend()));
+    orders.emplace_back("all equal", std::vector<double>(n, 2.5));
+    std::vector<double> organ(n);
+    for (std::size_t i = 0; i < n; ++i)
+      organ[i] = static_cast<double>(std::min(i, n - 1 - i));
+    orders.emplace_back("organ pipe", organ);
+    orders.emplace_back("median-of-3 killer", median_of_3_killer(n));
+    for (const auto& [name, sample] : orders) {
+      for (const double q : {0.0, 0.25, 0.5, 0.9}) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(quantile(sample, q)),
+                  oracle_bits(sample, q))
+            << name << " n " << n << " q " << q;
+      }
+      std::vector<double> scratch = sample;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(median_in_place(scratch)),
+                oracle_bits(sample, 0.5))
+          << name << " n " << n;
     }
   }
 }

@@ -13,8 +13,10 @@
 #include <limits>
 #include <string>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
+#include "analysis/network_metrics.h"
 #include "common/atomic_file.h"
 #include "sim/simulator.h"
 #include "store/checkpoint.h"
@@ -588,40 +590,101 @@ TEST_F(StoreCorruption, OutOfRangeRowsQuarantineTheirShard) {
             ReadOutcome::Status::kOk);
 }
 
-// A CRC-valid KPI shard with one out-of-range row (a negative cell, or a
-// day past SimDay): scan_kpis and read_dataset both reject that shard
-// whole and keep every other row, exactly the rows the cursor reference
-// decode returns for the other shards.
+// A CRC-valid KPI shard whose rows break what the kpis schema promises: a
+// negative cell, a day past SimDay, a day outside the range end_row() put
+// in the shard footer, a cell id of 2^32 or more (which a uint32 narrowing
+// would read as a valid cell), a day going back inside the shard, and a
+// shard whose days all precede its predecessor's. scan_kpis and
+// read_dataset both reject that shard whole and keep every other row,
+// exactly the rows the cursor reference decode returns for the other
+// shards, and the KPI-group adapter serves nothing, with or without an
+// all-group (a lying day once wrote past the series' end there).
 TEST_F(StoreCorruption, OutOfRangeKpiRowQuarantinesItsShardEverywhere) {
   const auto& records = live().kpis.records();
   constexpr std::size_t kRowsPerShard = 1024;
   ASSERT_GT(records.size(), 3 * kRowsPerShard);
   const std::size_t bad = kRowsPerShard + 17;  // inside the second shard
-  for (const bool bad_cell : {true, false}) {
-    SCOPED_TRACE(bad_cell ? "negative cell" : "day past SimDay");
-    const std::string dir = clone(bad_cell ? "kpi_cell" : "kpi_day");
-    const std::string path = dir + "/" + feed_file_name("kpis");
-    {
-      FeedFileWriter writer{path, feed_schema("kpis").encodings(),
-                            kRowsPerShard};
-      for (std::size_t i = 0; i < records.size(); ++i) {
-        const auto& r = records[i];
-        std::int64_t day = r.day;
-        std::int64_t cell = r.cell.value();
-        if (i == bad && bad_cell) cell = -1;
-        if (i == bad && !bad_cell)
-          day = std::int64_t{std::numeric_limits<SimDay>::max()} + 1;
-        writer.i64(0, day);
-        writer.i64(1, cell);
-        for (int m = 0; m < telemetry::kKpiMetricCount; ++m) {
-          const auto metric = static_cast<telemetry::KpiMetric>(m);
-          writer.f64(kpi_metric_column(metric),
-                     telemetry::kpi_value(r, metric));
-        }
-        writer.end_row(day);
+  const auto in_bad_shard = [&](std::size_t i) {
+    return i / kRowsPerShard == bad / kRowsPerShard;
+  };
+  const std::int64_t shard_first_day = records[kRowsPerShard].day;
+  // Edits row i's stored day and cell, and the day end_row() tags it with.
+  using Edit = std::function<void(std::size_t i, std::int64_t& day,
+                                  std::int64_t& cell, std::int64_t& tag)>;
+  const std::vector<std::pair<std::string, Edit>> cases = {
+      {"negative cell",
+       [&](std::size_t i, std::int64_t&, std::int64_t& cell, std::int64_t&) {
+         if (i == bad) cell = -1;
+       }},
+      {"day past SimDay",
+       [&](std::size_t i, std::int64_t& day, std::int64_t&,
+           std::int64_t& tag) {
+         if (i == bad)
+           day = tag = std::int64_t{std::numeric_limits<SimDay>::max()} + 1;
+       }},
+      {"day outside its end_row day",
+       [&](std::size_t i, std::int64_t& day, std::int64_t&, std::int64_t&) {
+         if (i == bad) day = records.back().day + 30;
+       }},
+      {"cell of 2^32 or more",
+       [&](std::size_t i, std::int64_t&, std::int64_t& cell, std::int64_t&) {
+         if (i == bad) cell += std::int64_t{1} << 32;
+       }},
+      {"day going back",
+       [&](std::size_t i, std::int64_t& day, std::int64_t&,
+           std::int64_t& tag) {
+         if (i == bad) day = tag = shard_first_day - 1;
+       }},
+      {"shard before its predecessor",
+       [&](std::size_t i, std::int64_t& day, std::int64_t&,
+           std::int64_t& tag) {
+         if (in_bad_shard(i)) day = tag = records.front().day - 1;
+       }},
+  };
+  const auto write_kpis = [&](const std::string& path, const Edit& edit) {
+    FeedFileWriter writer{path, feed_schema("kpis").encodings(),
+                          kRowsPerShard};
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const auto& r = records[i];
+      std::int64_t day = r.day;
+      std::int64_t cell = r.cell.value();
+      std::int64_t tag = r.day;
+      edit(i, day, cell, tag);
+      writer.i64(0, day);
+      writer.i64(1, cell);
+      for (int m = 0; m < telemetry::kKpiMetricCount; ++m) {
+        const auto metric = static_cast<telemetry::KpiMetric>(m);
+        writer.f64(kpi_metric_column(metric), telemetry::kpi_value(r, metric));
       }
-      writer.close();
+      writer.end_row(tag);
     }
+    writer.close();
+  };
+  const auto by_region =
+      analysis::group_by_region(*live().geography, *live().topology);
+  const auto by_cluster =
+      analysis::group_by_cluster(*live().geography, *live().topology);
+  {
+    // The rewrite itself, undamaged, serves.
+    const std::string dir = clone("kpi_rewritten");
+    write_kpis(dir + "/" + feed_file_name("kpis"),
+               [](std::size_t, std::int64_t&, std::int64_t&, std::int64_t&) {});
+    EXPECT_TRUE(scan_kpi_group_series(dir, by_region,
+                                      telemetry::KpiMetric::kDlVolume));
+    EXPECT_TRUE(scan_kpi_group_series(dir, by_cluster,
+                                      telemetry::KpiMetric::kDlVolume));
+  }
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const auto& [name, edit] = cases[c];
+    SCOPED_TRACE(name);
+    const std::string dir = clone("kpi_row_" + std::to_string(c));
+    const std::string path = dir + "/" + feed_file_name("kpis");
+    write_kpis(path, edit);
+
+    EXPECT_FALSE(scan_kpi_group_series(dir, by_region,
+                                       telemetry::KpiMetric::kDlVolume));
+    EXPECT_FALSE(scan_kpi_group_series(dir, by_cluster,
+                                       telemetry::KpiMetric::kDlVolume));
 
     // The reference decodes every shard; drop the damaged one by hand.
     const auto reference = testsupport::reference_decode_kpis(path);
@@ -630,8 +693,7 @@ TEST_F(StoreCorruption, OutOfRangeKpiRowQuarantinesItsShardEverywhere) {
     ASSERT_EQ(reference.records.size(), records.size());
     std::vector<telemetry::CellDayRecord> expected;
     for (std::size_t i = 0; i < reference.records.size(); ++i)
-      if (i / kRowsPerShard != bad / kRowsPerShard)
-        expected.push_back(reference.records[i]);
+      if (!in_bad_shard(i)) expected.push_back(reference.records[i]);
     const auto expected_rows =
         testsupport::kpi_oracle_slice(expected, ScanOptions{}).rows;
 
